@@ -10,22 +10,36 @@ Subcommands:
     pipeline   generate/load, then analyze + frm + levels + embed in one run
     rerun      replay any previous run from its manifest
 
-Every run writes a ``manifest.json`` capturing the full configuration, the
-tool version and a content hash of the input series; identical
-configurations produce byte-identical outputs. When ``--out-dir`` is
-omitted, outputs land in ``runs/<manifest digest prefix>/``. On failure,
-files already written for the run are removed and the exit code is
-nonzero.
+Every run writes its run spec, the tool version and a content hash of the
+input series to ``manifest.json``; identical specs produce byte-identical
+outputs. Each library section of the spec is built by the library's own
+dataclass from only the flags given, so the defaults are those held by the
+dataclasses and the ``*_EMBEDDING`` constants. One check builds every config
+object from the spec, for flags and ``rerun`` manifests alike, before any
+series is loaded or integrated. When ``--out-dir`` is omitted, outputs land
+in ``runs/<manifest digest prefix>/``. Any bad input ends with one
+``error: ...`` line, exit code 1 and no files left behind.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import asdict, fields
 from pathlib import Path
+from types import SimpleNamespace
+from typing import get_type_hints
 
-from .embedding import EmbeddingConfig, delay_embed, window_from_embedding
+from .embedding import (
+    LORENZ_EMBEDDING,
+    MACKEY_GLASS_EMBEDDING,
+    ROSSLER_EMBEDDING,
+    EmbeddingConfig,
+    delay_embed,
+    window_from_embedding,
+)
 from .encoding import (
+    RANKINGS,
     OrdinalPattern,
     WindowConfig,
     canonical_pattern,
@@ -51,13 +65,14 @@ from .levels import build_level_network, entry_level_sequence, level_sequence
 from .manifest import TOOL_VERSION, canonical_json, load_manifest, manifest_digest, write_manifest
 from .network import build_opn, markov_estimate
 from .ranking import (
+    LevelConfig,
     SubSeriesConfig,
     analyze_partitions,
     entry_mask,
     entry_points,
 )
 from .returnmaps import frm_from_entries, maxima_frm
-from .series import load_series, series_sha256
+from .series import check_dt, load_series, series_sha256
 from .sources import (
     LorenzParams,
     MackeyGlassParams,
@@ -69,17 +84,12 @@ from .sources import (
 )
 
 SYSTEMS = ("lorenz", "rossler", "mackey-glass")
-
-_BY_CHOICES = {
-    "weighted": ("weighted_entropy", "weighted_level"),
-    "transition": ("transition_entropy", "transition_level"),
-}
-
-_DEFAULT_EMBEDDING = {
-    "lorenz": (3, 9),
-    "rossler": (3, 144),
-    "mackey-glass": (2, 204),
-}
+_PARAMS = dict(zip(SYSTEMS, (LorenzParams, RosslerParams, MackeyGlassParams)))
+# a series file takes the Lorenz embedding unless --dim/--lag say otherwise
+_EMBEDDINGS = dict(zip(SYSTEMS, (LORENZ_EMBEDDING, ROSSLER_EMBEDDING, MACKEY_GLASS_EMBEDDING)))
+_LEVEL_ATTR = {"weighted": "weighted_level", "transition": "transition_level"}
+_FORMATS = ("csv", "whitespace")
+_COLORS = ("pattern", "level", "none")
 
 
 class _RunWriter:
@@ -91,11 +101,10 @@ class _RunWriter:
         out_dir.mkdir(parents=True, exist_ok=True)
         self.written: list[Path] = []
 
-    def emit(self, name: str, fn) -> Path:
+    def emit(self, name: str, fn) -> None:
         path = self.out_dir / name
         fn(path)
         self.written.append(path)
-        return path
 
     def cleanup(self) -> None:
         for path in self.written:
@@ -107,34 +116,177 @@ class _RunWriter:
                 pass
 
 
+# ------------------------------------------------------------ run spec
+
+
+def _given(args, cls, prefix: str = "") -> dict:
+    """The fields of cls set by a flag; library-backed flags default to None."""
+    values = {f.name: getattr(args, prefix + f.name, None) for f in fields(cls)}
+    return {name: value for name, value in values.items() if value is not None}
+
+
+def _parse_initial_state(text):
+    try:
+        return [float(part) for part in text.split(",")]
+    except ValueError:
+        raise ConfigError(f"cannot parse initial state {text!r}") from None
+
+
+def _frm_spec(args) -> dict:
+    pattern, maxima = getattr(args, "pattern", None), getattr(args, "maxima", False)
+    if (pattern is not None) + (args.frm_level is not None) + maxima != 1:
+        raise ConfigError("choose exactly one of --pattern, --level, --maxima")
+    # frm draws a maxima map only in --maxima mode; pipeline always adds one
+    frm = {"by": args.by, "sign_split": args.sign_split and (maxima or args.command == "pipeline")}
+    if maxima:
+        return {"mode": "maxima", **frm}
+    if pattern is not None:
+        return {"mode": "pattern", "patterns": pattern, **frm}
+    return {"mode": "level", "level": args.frm_level, **frm}
+
+
+def _spec_from_args(args) -> dict:
+    """The run spec of a command line, each library section built by its dataclass."""
+    spec = {"command": args.command, "version": TOOL_VERSION}
+    system = args.input if args.command in ("generate", "pipeline") and args.input in SYSTEMS else None
+    if system:
+        sim = _given(args, SimulationConfig)
+        if "initial_state" in sim:
+            sim["initial_state"] = _parse_initial_state(sim["initial_state"])
+        params = _PARAMS[system](**_given(args, _PARAMS[system]))
+        spec["input"] = {"kind": system, "params": asdict(params), "sim": asdict(SimulationConfig(**sim))}
+    else:
+        path = str(Path(args.input).resolve())
+        spec["input"] = {"kind": "file", "path": path, "format": args.format, "dt": args.dt}
+    sections = _COMMANDS[args.command][0]
+    if "embedding" in sections:
+        given = _given(args, EmbeddingConfig)
+        embedding = EmbeddingConfig(**{**asdict(_EMBEDDINGS.get(system, LORENZ_EMBEDDING)), **given})
+        spec["embedding"] = {**asdict(embedding), "color": args.color}
+    if "window" in sections:
+        window = _given(args, WindowConfig)
+        if "tau" not in window and getattr(args, "lag", None) is not None:
+            m = WindowConfig(**window).m  # checks m before the divisor search uses it
+            window["tau"] = window_from_embedding(embedding, m).tau
+        spec["window"] = asdict(WindowConfig(**window))
+        spec["subseries"] = asdict(SubSeriesConfig(**_given(args, SubSeriesConfig, "sub_")))
+        spec["levels"] = asdict(LevelConfig(**_given(args, LevelConfig)))
+    if "frm" in sections:
+        spec["frm"] = _frm_spec(args)
+    if "level_network" in sections:
+        spec["level_network"] = {"by": args.by, "per_entry": getattr(args, "per_entry", False)}
+    return spec
+
+
+# JSON type checks keyed by Python type: a spec dataclass field finds its check by
+# its resolved annotation, however spelled; list[str] is a non-empty pattern list
+_IS = {
+    int: lambda v: type(v) is int,
+    float: lambda v: type(v) in (int, float),
+    str: lambda v: type(v) is str,
+    bool: lambda v: type(v) is bool,
+    dict: lambda v: type(v) is dict,
+    int | None: lambda v: v is None or type(v) is int,
+    float | None: lambda v: v is None or type(v) in (int, float),
+    tuple[float, ...] | None: lambda v: v is None or (
+        type(v) is list and all(type(x) in (int, float) for x in v)
+    ),
+    list[str]: lambda v: type(v) is list and len(v) > 0 and all(type(x) is str for x in v),
+}
+_FRM_MODE_KEYS = {"pattern": {"patterns": _IS[list[str]]}, "level": {"level": _IS[int]}, "maxima": {}}
+
+
+def _one_of(*choices):
+    return lambda v: type(v) is str and v in choices
+
+
+def _section(values, name: str, cls=None, **checks):
+    """A spec section holding exactly cls's fields and the checks' keys, each
+    of its declared type; returns cls built from the fields, else the dict."""
+    if cls is not None:
+        hints = get_type_hints(cls)
+        checks = {**{f.name: _IS[hints[f.name]] for f in fields(cls)}, **checks}
+    if type(values) is not dict or set(values) != set(checks):
+        raise ConfigError(f"{name} must hold exactly the keys {', '.join(sorted(checks))}")
+    for key, check in checks.items():
+        if not check(values[key]):
+            raise ConfigError(f"{name}.{key} cannot be {values[key]!r}")
+    if cls is None:
+        return values
+    return cls(**{f.name: values[f.name] for f in fields(cls)})
+
+
+def _shown_pattern(text: str, m: int) -> OrdinalPattern:
+    """A --pattern value, as displayed under the run's ranking."""
+    try:
+        shown = OrdinalPattern.from_dashed(text)
+    except ValueError as exc:
+        raise ConfigError(f"--pattern: {exc}") from None
+    if shown.m != m:
+        raise ConfigError(f"--pattern {text} has {shown.m} entries but m is {m}")
+    return shown
+
+
+def _check(spec: dict) -> SimpleNamespace:
+    """Every config object of a run spec, built before any input is read."""
+    command = spec.get("command")
+    if type(command) is not str or command not in _COMMANDS:
+        raise ConfigError(f"manifest names unknown command {command!r}")
+    sections = _COMMANDS[command][0]
+    required = ("command", "input", *sections)
+    if not set(required) <= set(spec) <= {*required, "version", "series_sha256"}:
+        raise ConfigError(f"a {command} run spec needs the keys {', '.join(required)} and no others")
+    if type(spec.get("series_sha256", "")) is not str:
+        raise ConfigError("series_sha256 must be a string")
+    run = SimpleNamespace(spec=spec)
+    inp = spec["input"]
+    kind = inp.get("kind") if type(inp) is dict else None
+    if kind == "file":
+        _section(inp, "input", kind=_IS[str], path=_IS[str], format=_one_of(*_FORMATS), dt=_IS[float | None])
+        if inp["dt"] is not None:
+            check_dt(inp["dt"])
+    elif type(kind) is str and kind in SYSTEMS:
+        _section(inp, "input", kind=_IS[str], params=_IS[dict], sim=_IS[dict])
+        run.params = _section(inp["params"], "input.params", _PARAMS[kind])
+        run.sim = _section(inp["sim"], "input.sim", SimulationConfig)
+    else:
+        raise ConfigError(f"unknown input kind {kind!r}")
+    if "window" in sections:
+        run.window = _section(spec["window"], "window", WindowConfig)
+        run.subseries = _section(spec["subseries"], "subseries", SubSeriesConfig)
+        run.levels = _section(spec["levels"], "levels", LevelConfig)
+    by = _one_of(*_LEVEL_ATTR)
+    if "frm" in sections:
+        mode = spec["frm"].get("mode") if type(spec["frm"]) is dict else None
+        mode_keys = _FRM_MODE_KEYS.get(mode, {}) if type(mode) is str else {}
+        modes = _one_of(*_FRM_MODE_KEYS)
+        run.frm = _section(spec["frm"], "frm", mode=modes, by=by, sign_split=_IS[bool], **mode_keys)
+        top = run.levels.max_levels
+        if mode == "level" and not 1 <= run.frm["level"] <= top:
+            raise ConfigError(f"--level/--frm-level must lie in 1..{top} (--max-levels), got {run.frm['level']}")
+        run.patterns = [_shown_pattern(text, run.window.m) for text in run.frm.get("patterns", ())]
+    if "level_network" in sections:
+        run.level_network = _section(spec["level_network"], "level_network", by=by, per_entry=_IS[bool])
+    if "embedding" in sections:
+        run.embedding = _section(spec["embedding"], "embedding", EmbeddingConfig, color=_one_of(*_COLORS))
+        run.color = spec["embedding"]["color"]
+    return run
+
+
 # ---------------------------------------------------------------- input
 
 
-def _realize_input(spec: dict):
-    """Load or integrate the series named by spec['input'], pin its hash."""
+def _realize_input(run):
+    """Load or integrate the series named by the spec's input, pin its hash."""
+    spec = run.spec
     inp = spec["input"]
-    kind = inp["kind"]
-    if kind == "file":
-        series = load_series(inp["path"], inp["format"], inp.get("dt"))
+    if inp["kind"] == "file":
+        series = load_series(inp["path"], inp["format"], inp["dt"])
         inp["dt"] = series.dt
-    elif kind in SYSTEMS:
-        sim = SimulationConfig(
-            dt=inp["sim"]["dt"],
-            total_points=inp["sim"]["total_points"],
-            discard_fraction=inp["sim"]["discard_fraction"],
-            initial_state=tuple(inp["sim"]["initial_state"])
-            if inp["sim"]["initial_state"] is not None
-            else None,
-            seed=inp["sim"]["seed"],
-        )
-        if kind == "lorenz":
-            series = integrate_lorenz(LorenzParams(**inp["params"]), sim)
-        elif kind == "rossler":
-            series = integrate_rossler(RosslerParams(**inp["params"]), sim)
-        else:
-            series = integrate_mackey_glass(MackeyGlassParams(**inp["params"]), sim)
     else:
-        raise ConfigError(f"unknown input kind {kind!r}")
+        # built per call, so a name rebound on this module is the one called
+        integrate = {"lorenz": integrate_lorenz, "rossler": integrate_rossler, "mackey-glass": integrate_mackey_glass}
+        series = integrate[inp["kind"]](run.params, run.sim)
     digest = series_sha256(series)
     previous = spec.get("series_sha256")
     if previous is not None and previous != digest:
@@ -149,24 +301,9 @@ def _realize_input(spec: dict):
 # ------------------------------------------------------------- analysis
 
 
-def _window_cfg(spec: dict) -> WindowConfig:
-    return WindowConfig(**spec["window"])
-
-
-def _sub_cfg(spec: dict) -> SubSeriesConfig:
-    return SubSeriesConfig(**spec["subseries"])
-
-
-def _analysis(series, spec):
-    seq = symbolize(series, _window_cfg(spec))
-    reports = analyze_partitions(
-        series,
-        seq,
-        _sub_cfg(spec),
-        gap_fraction=spec["levels"]["gap_fraction"],
-        max_levels=spec["levels"]["max_levels"],
-    )
-    return seq, reports
+def _analysis(series, run):
+    seq = symbolize(series, run.window)
+    return seq, analyze_partitions(series, seq, run.subseries, run.levels)
 
 
 def _write_analysis(writer, seq, reports):
@@ -180,21 +317,18 @@ def _write_analysis(writer, seq, reports):
     writer.emit("opn_nodes.csv", lambda p: write_opn_nodes_csv(est, p, ranking))
 
 
-def _frm_maps(series, spec, seq=None, reports=None):
-    frm = spec["frm"]
-    maps = []
+def _frm_maps(series, run, seq=None, reports=None):
+    frm = run.frm
     if frm["mode"] == "maxima":
-        maps.append(maxima_frm(series, sign_split=frm["sign_split"]))
-        return maps
-    ranking = spec["window"]["ranking"]
+        return [maxima_frm(series, sign_split=frm["sign_split"])]
+    ranking = run.window.ranking
+    maps = []
     if frm["mode"] == "pattern":
-        for text in frm["patterns"]:
-            shown = OrdinalPattern.from_dashed(text)
-            pattern = canonical_pattern(shown, ranking)
-            entries = entry_points(seq, pattern)
+        for shown in run.patterns:
+            entries = entry_points(seq, canonical_pattern(shown, ranking))
             maps.append(frm_from_entries(series, entries, source=f"partition:{shown.dashed()}"))
         return maps
-    level_attr = _BY_CHOICES[frm["by"]][1]
+    level_attr = _LEVEL_ATTR[frm["by"]]
     selected = [r for r in reports if getattr(r, level_attr) == frm["level"]]
     for report in sorted(selected, key=lambda r: r.pattern.perm):
         if len(report.entry_indices) < 2:
@@ -220,12 +354,12 @@ def _write_frm(writer, maps):
     )
 
 
-def _write_levels(writer, seq, reports, spec):
-    by_attr = _BY_CHOICES[spec["level_network"]["by"]][1]
+def _write_levels(writer, seq, reports, run):
+    by_attr = _LEVEL_ATTR[run.level_network["by"]]
     full = level_sequence(seq, reports, by_attr)
     used = (
         entry_level_sequence(seq, reports, by_attr)
-        if spec["level_network"]["per_entry"]
+        if run.level_network["per_entry"]
         else full
     )
     net = build_level_network(used)
@@ -233,16 +367,13 @@ def _write_levels(writer, seq, reports, spec):
     writer.emit("level_network.csv", lambda p: write_level_network_csv(net, p))
 
 
-def _write_embedding(writer, series, spec, seq=None, reports=None):
-    emb = spec["embedding"]
-    cfg = EmbeddingConfig(dim=emb["dim"], lag=emb["lag"])
-    points = delay_embed(series, cfg)
-    if emb["color"] == "none" or seq is None:
+def _write_embedding(writer, series, run, seq, reports):
+    points = delay_embed(series, run.embedding)
+    if seq is None or run.color == "none":
         writer.emit("embedded.csv", lambda p: write_embedding_csv(points, p))
         return
     ranking = seq.config.ranking
-    level_attr = _BY_CHOICES[spec["level_network"]["by"]][1] if "level_network" in spec else "transition_level"
-    lv = level_sequence(seq, reports, level_attr)
+    lv = level_sequence(seq, reports, _LEVEL_ATTR[run.level_network["by"]])
     entries = entry_mask(seq.codes)
     pattern_col = [""] * len(points)
     level_col = [""] * len(points)
@@ -262,64 +393,64 @@ def _write_embedding(writer, series, spec, seq=None, reports=None):
 # ------------------------------------------------------------- runners
 
 
-def _run_generate(spec, series, writer):
+def _run_generate(run, series, writer):
     writer.emit("series.csv", lambda p: write_series_csv(series, p))
 
 
-def _run_analyze(spec, series, writer):
-    seq, reports = _analysis(series, spec)
+def _run_analyze(run, series, writer):
+    seq, reports = _analysis(series, run)
     _write_analysis(writer, seq, reports)
 
 
-def _run_frm(spec, series, writer):
+def _run_frm(run, series, writer):
     seq = reports = None
-    if spec["frm"]["mode"] == "pattern":
-        seq = symbolize(series, _window_cfg(spec))
-    elif spec["frm"]["mode"] == "level":
-        seq, reports = _analysis(series, spec)
-    maps = _frm_maps(series, spec, seq, reports)
-    _write_frm(writer, maps)
+    if run.frm["mode"] == "pattern":
+        seq = symbolize(series, run.window)
+    elif run.frm["mode"] == "level":
+        seq, reports = _analysis(series, run)
+    _write_frm(writer, _frm_maps(series, run, seq, reports))
 
 
-def _run_levels(spec, series, writer):
-    seq, reports = _analysis(series, spec)
-    _write_levels(writer, seq, reports, spec)
+def _run_levels(run, series, writer):
+    seq, reports = _analysis(series, run)
+    _write_levels(writer, seq, reports, run)
 
 
-def _run_embed(spec, series, writer):
-    if spec["embedding"]["color"] == "none":
-        _write_embedding(writer, series, spec)
-        return
-    seq, reports = _analysis(series, spec)
-    _write_embedding(writer, series, spec, seq, reports)
+def _run_embed(run, series, writer):
+    seq, reports = _analysis(series, run) if run.color != "none" else (None, None)
+    _write_embedding(writer, series, run, seq, reports)
 
 
-def _run_pipeline(spec, series, writer):
+def _run_pipeline(run, series, writer):
     writer.emit("series.csv", lambda p: write_series_csv(series, p))
-    seq, reports = _analysis(series, spec)
+    seq, reports = _analysis(series, run)
     _write_analysis(writer, seq, reports)
-    maps = _frm_maps(series, spec, seq, reports)
+    maps = _frm_maps(series, run, seq, reports)
     try:
-        maps.append(maxima_frm(series, sign_split=spec["frm"]["sign_split"]))
+        maps.append(maxima_frm(series, sign_split=run.frm["sign_split"]))
     except OrdmapsError:
         pass  # too few maxima is not fatal for the partition pipeline
     _write_frm(writer, maps)
-    _write_levels(writer, seq, reports, spec)
-    _write_embedding(writer, series, spec, seq, reports)
+    _write_levels(writer, seq, reports, run)
+    _write_embedding(writer, series, run, seq, reports)
 
 
-_RUNNERS = {
-    "generate": _run_generate,
-    "analyze": _run_analyze,
-    "frm": _run_frm,
-    "levels": _run_levels,
-    "embed": _run_embed,
-    "pipeline": _run_pipeline,
+# per command: the run spec sections it holds besides command, version and
+# input, and its runner
+_ANALYSIS = ("window", "subseries", "levels")
+_COMMANDS = {
+    "generate": ((), _run_generate),
+    "analyze": (_ANALYSIS, _run_analyze),
+    "frm": (_ANALYSIS + ("frm",), _run_frm),
+    "levels": (_ANALYSIS + ("level_network",), _run_levels),
+    "embed": (_ANALYSIS + ("level_network", "embedding"), _run_embed),
+    "pipeline": (_ANALYSIS + ("frm", "level_network", "embedding"), _run_pipeline),
 }
 
 
 def _execute(spec: dict, out_dir_arg) -> int:
-    series = _realize_input(spec)
+    run = _check(spec)
+    series = _realize_input(run)
     out_dir = (
         Path(out_dir_arg)
         if out_dir_arg
@@ -327,7 +458,7 @@ def _execute(spec: dict, out_dir_arg) -> int:
     )
     writer = _RunWriter(out_dir)
     try:
-        _RUNNERS[spec["command"]](spec, series, writer)
+        _COMMANDS[spec["command"]][1](run, series, writer)
         spec["outputs"] = sorted(p.name for p in writer.written)
         writer.emit(
             "manifest.json",
@@ -338,261 +469,6 @@ def _execute(spec: dict, out_dir_arg) -> int:
         raise
     print(out_dir)
     return 0
-
-
-# ------------------------------------------------------------ arguments
-
-
-def _add_output_arg(p):
-    p.add_argument("--out-dir", default=None, help="output directory (default runs/<digest>)")
-
-
-def _add_input_args(p):
-    p.add_argument("input", help="series file (one value per row)")
-    p.add_argument("--format", choices=("csv", "whitespace"), default="csv")
-    p.add_argument("--dt", type=float, default=None, help="sample interval if not in the file header")
-
-
-def _add_sim_args(p):
-    p.add_argument("--dt", type=float, default=None, help="integration step (default 0.01)")
-    p.add_argument("--points", type=int, default=1_000_000, help="total integrated points")
-    p.add_argument("--discard", type=float, default=0.9, help="leading fraction dropped as transient")
-    p.add_argument("--seed", type=int, default=None, help="seed for a random initial state")
-    p.add_argument(
-        "--initial-state",
-        default=None,
-        help="comma-separated initial state, e.g. '1,1,1'",
-    )
-
-
-def _add_window_args(p):
-    p.add_argument("--m", type=int, default=4, help="samples per window")
-    p.add_argument("--tau", type=int, default=None, help="sample spacing inside a window (default 6, or derived from --lag)")
-    p.add_argument("--w", type=int, default=1, help="window slide")
-    p.add_argument("--ranking", choices=("chronological", "amplitude"), default="chronological")
-
-
-def _add_sub_args(p):
-    p.add_argument("--sub-m", type=int, default=3, help="sub-series window size")
-    p.add_argument("--sub-tau", type=int, default=1)
-    p.add_argument("--sub-w", type=int, default=1)
-
-
-def _add_level_args(p):
-    p.add_argument("--gap-fraction", type=float, default=0.15, help="gap share of the top entropy that separates levels")
-    p.add_argument("--max-levels", type=int, default=3)
-
-
-def _add_embed_args(p, require: bool = False):
-    p.add_argument("--dim", type=int, default=None, required=require, help="embedding dimension")
-    p.add_argument("--lag", type=int, default=None, required=require, help="embedding lag in samples")
-
-
-def _parse_initial_state(text):
-    if text is None:
-        return None
-    try:
-        return [float(part) for part in text.split(",")]
-    except ValueError:
-        raise ConfigError(f"cannot parse initial state {text!r}") from None
-
-
-def _sim_spec(args) -> dict:
-    return {
-        "dt": args.dt if args.dt is not None else 0.01,
-        "total_points": args.points,
-        "discard_fraction": args.discard,
-        "initial_state": _parse_initial_state(args.initial_state),
-        "seed": args.seed,
-    }
-
-
-def _system_params_spec(system: str, args) -> dict:
-    if system == "lorenz":
-        return {"sigma": args.sigma, "rho": args.rho, "beta": args.beta}
-    if system == "rossler":
-        return {"alpha": args.alpha, "beta": args.beta, "gamma": args.gamma}
-    return {
-        "beta": args.beta,
-        "gamma": args.gamma,
-        "delay": args.delay,
-        "exponent": args.exponent,
-        "history_value": args.history_value,
-    }
-
-
-def _file_input_spec(args) -> dict:
-    return {
-        "kind": "file",
-        "path": str(Path(args.input).resolve()),
-        "format": args.format,
-        "dt": args.dt,
-    }
-
-
-def _window_spec(args, system: str | None = None) -> dict:
-    tau = args.tau
-    if tau is None:
-        lag = getattr(args, "lag", None)
-        dim = getattr(args, "dim", None)
-        if lag is not None:
-            dims = dim if dim is not None else _DEFAULT_EMBEDDING.get(system or "", (3, None))[0]
-            tau = window_from_embedding(EmbeddingConfig(dim=dims, lag=lag), args.m).tau
-        else:
-            tau = 6
-    return {"m": args.m, "tau": tau, "w": args.w, "ranking": args.ranking}
-
-
-def _sub_spec(args) -> dict:
-    return {"m": args.sub_m, "tau": args.sub_tau, "w": args.sub_w}
-
-
-def _level_spec(args) -> dict:
-    return {"gap_fraction": args.gap_fraction, "max_levels": args.max_levels}
-
-
-def _embedding_spec(args, system: str | None) -> dict:
-    dim, lag = args.dim, args.lag
-    if dim is None or lag is None:
-        default = _DEFAULT_EMBEDDING.get(system or "", (3, 9))
-        dim = dim if dim is not None else default[0]
-        lag = lag if lag is not None else default[1]
-    return {"dim": dim, "lag": lag, "color": getattr(args, "color", "pattern")}
-
-
-# ------------------------------------------------------------- commands
-
-
-def _cmd_generate(args) -> int:
-    spec = {
-        "command": "generate",
-        "version": TOOL_VERSION,
-        "input": {
-            "kind": args.system,
-            "params": _system_params_spec(args.system, args),
-            "sim": _sim_spec(args),
-        },
-    }
-    return _execute(spec, args.out_dir)
-
-
-def _cmd_analyze(args) -> int:
-    spec = {
-        "command": "analyze",
-        "version": TOOL_VERSION,
-        "input": _file_input_spec(args),
-        "window": _window_spec(args),
-        "subseries": _sub_spec(args),
-        "levels": _level_spec(args),
-    }
-    return _execute(spec, args.out_dir)
-
-
-def _cmd_frm(args) -> int:
-    modes = [args.pattern is not None, args.level is not None, args.maxima]
-    if sum(modes) != 1:
-        raise ConfigError("choose exactly one of --pattern, --level, --maxima")
-    if args.pattern is not None:
-        frm = {"mode": "pattern", "patterns": args.pattern, "by": args.by, "sign_split": False}
-    elif args.level is not None:
-        frm = {"mode": "level", "level": args.level, "by": args.by, "sign_split": False}
-    else:
-        frm = {"mode": "maxima", "by": args.by, "sign_split": args.sign_split}
-    spec = {
-        "command": "frm",
-        "version": TOOL_VERSION,
-        "input": _file_input_spec(args),
-        "window": _window_spec(args),
-        "subseries": _sub_spec(args),
-        "levels": _level_spec(args),
-        "frm": frm,
-    }
-    return _execute(spec, args.out_dir)
-
-
-def _cmd_levels(args) -> int:
-    spec = {
-        "command": "levels",
-        "version": TOOL_VERSION,
-        "input": _file_input_spec(args),
-        "window": _window_spec(args),
-        "subseries": _sub_spec(args),
-        "levels": _level_spec(args),
-        "level_network": {"by": args.by, "per_entry": args.per_entry},
-    }
-    return _execute(spec, args.out_dir)
-
-
-def _cmd_embed(args) -> int:
-    spec = {
-        "command": "embed",
-        "version": TOOL_VERSION,
-        "input": _file_input_spec(args),
-        "window": _window_spec(args),
-        "subseries": _sub_spec(args),
-        "levels": _level_spec(args),
-        "level_network": {"by": args.by, "per_entry": False},
-        "embedding": _embedding_spec(args, None),
-    }
-    return _execute(spec, args.out_dir)
-
-
-def _cmd_pipeline(args) -> int:
-    if args.source in SYSTEMS:
-        system = args.source
-        input_spec = {
-            "kind": system,
-            "params": _default_system_params(system),
-            "sim": _sim_spec(args),
-        }
-    else:
-        system = None
-        path = Path(args.source)
-        input_spec = {
-            "kind": "file",
-            "path": str(path.resolve()),
-            "format": args.format,
-            "dt": args.dt,
-        }
-    spec = {
-        "command": "pipeline",
-        "version": TOOL_VERSION,
-        "input": input_spec,
-        "window": _window_spec(args, system),
-        "subseries": _sub_spec(args),
-        "levels": _level_spec(args),
-        "frm": {"mode": "level", "level": args.frm_level, "by": args.by, "sign_split": args.sign_split},
-        "level_network": {"by": args.by, "per_entry": args.per_entry},
-        "embedding": _embedding_spec(args, system),
-    }
-    return _execute(spec, args.out_dir)
-
-
-def _default_system_params(system: str) -> dict:
-    if system == "lorenz":
-        p = LorenzParams()
-        return {"sigma": p.sigma, "rho": p.rho, "beta": p.beta}
-    if system == "rossler":
-        p = RosslerParams()
-        return {"alpha": p.alpha, "beta": p.beta, "gamma": p.gamma}
-    p = MackeyGlassParams()
-    return {
-        "beta": p.beta,
-        "gamma": p.gamma,
-        "delay": p.delay,
-        "exponent": p.exponent,
-        "history_value": p.history_value,
-    }
-
-
-def _cmd_rerun(args) -> int:
-    spec = load_manifest(args.manifest)
-    spec.pop("manifest_sha256", None)
-    spec.pop("outputs", None)
-    command = spec.get("command")
-    if command not in _RUNNERS:
-        raise ConfigError(f"manifest names unknown command {command!r}")
-    return _execute(spec, args.out_dir)
 
 
 # -------------------------------------------------------------- parser
@@ -606,102 +482,83 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {TOOL_VERSION}")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # flag groups shared by several subcommands; help shows the library defaults
+    sim_cfg, win, sub_cfg, lev = SimulationConfig(), WindowConfig(), SubSeriesConfig(), LevelConfig()
+    out, file_in, sim, analysis = (argparse.ArgumentParser(add_help=False) for _ in range(4))
+    out.add_argument("--out-dir", help="output directory (default runs/<digest>)")
+    file_in.add_argument("input", help="series file (one value per row)")
+    file_in.add_argument("--format", choices=_FORMATS, default="csv")
+    file_in.add_argument("--dt", type=float, help="sample interval if not in the file header")
+    sim.add_argument("--dt", type=float, help=f"integration step (default {sim_cfg.dt})")
+    sim.add_argument("--points", dest="total_points", type=int, help=f"total points (default {sim_cfg.total_points})")
+    sim.add_argument("--discard", dest="discard_fraction", type=float, help="leading share dropped as transient")
+    sim.add_argument("--seed", type=int, help="seed for a random initial state")
+    sim.add_argument("--initial-state", help="comma-separated initial state, e.g. '1,1,1'")
+    analysis.add_argument("--m", type=int, help=f"samples per window (default {win.m})")
+    analysis.add_argument("--tau", type=int, help=f"window sample spacing (default {win.tau}, or from --lag)")
+    analysis.add_argument("--w", type=int, help=f"window slide (default {win.w})")
+    analysis.add_argument("--ranking", choices=RANKINGS, help=f"pattern display (default {win.ranking})")
+    analysis.add_argument("--sub-m", type=int, help=f"sub-series window size (default {sub_cfg.m})")
+    analysis.add_argument("--sub-tau", type=int, help=f"sub-series sample spacing (default {sub_cfg.tau})")
+    analysis.add_argument("--sub-w", type=int, help=f"sub-series window slide (default {sub_cfg.w})")
+    analysis.add_argument("--gap-fraction", type=float, help=f"gap share splitting levels (default {lev.gap_fraction})")
+    analysis.add_argument("--max-levels", type=int, help=f"most entropy levels (default {lev.max_levels})")
+    by = {"choices": tuple(_LEVEL_ATTR), "default": "transition"}
+
     gen = sub.add_parser("generate", help="integrate a benchmark system")
-    gen_sub = gen.add_subparsers(dest="system", required=True)
-    g_lor = gen_sub.add_parser("lorenz")
-    g_lor.add_argument("--sigma", type=float, default=10.0)
-    g_lor.add_argument("--rho", type=float, default=28.0)
-    g_lor.add_argument("--beta", type=float, default=8.0 / 3.0)
-    g_ros = gen_sub.add_parser("rossler")
-    g_ros.add_argument("--alpha", type=float, default=0.2)
-    g_ros.add_argument("--beta", type=float, default=0.2)
-    g_ros.add_argument("--gamma", type=float, default=9.0)
-    g_mg = gen_sub.add_parser("mackey-glass")
-    g_mg.add_argument("--beta", type=float, default=2.0)
-    g_mg.add_argument("--gamma", type=float, default=1.0)
-    g_mg.add_argument("--delay", type=float, default=2.0)
-    g_mg.add_argument("--exponent", type=float, default=9.65)
-    g_mg.add_argument("--history-value", type=float, default=0.5)
-    for p in (g_lor, g_ros, g_mg):
-        _add_sim_args(p)
-        _add_output_arg(p)
-        p.set_defaults(func=_cmd_generate)
+    gen_sub = gen.add_subparsers(dest="input", required=True)
+    for system, params in _PARAMS.items():
+        p = gen_sub.add_parser(system, parents=[sim, out])
+        for f in fields(params):
+            p.add_argument("--" + f.name.replace("_", "-"), type=float, help=f"default {f.default:g}")
 
-    ana = sub.add_parser("analyze", help="per-partition entropy report")
-    _add_input_args(ana)
-    _add_window_args(ana)
-    _add_sub_args(ana)
-    _add_level_args(ana)
-    _add_output_arg(ana)
-    ana.set_defaults(func=_cmd_analyze)
+    sub.add_parser("analyze", help="per-partition entropy report", parents=[file_in, analysis, out])
 
-    frm = sub.add_parser("frm", help="first return maps")
-    _add_input_args(frm)
-    _add_window_args(frm)
-    _add_sub_args(frm)
-    _add_level_args(frm)
-    frm.add_argument("--pattern", action="append", default=None, help="dash-joined pattern; repeatable")
-    frm.add_argument("--level", type=int, default=None, help="all partitions of this entropy level")
+    frm = sub.add_parser("frm", help="first return maps", parents=[file_in, analysis, out])
+    frm.add_argument("--pattern", action="append", help="dash-joined pattern; repeatable")
+    frm.add_argument("--level", dest="frm_level", type=int, help="all partitions of this entropy level")
     frm.add_argument("--maxima", action="store_true", help="local-maxima baseline map")
     frm.add_argument("--sign-split", action="store_true", help="tag maxima by amplitude sign")
-    frm.add_argument("--by", choices=tuple(_BY_CHOICES), default="transition")
-    _add_output_arg(frm)
-    frm.set_defaults(func=_cmd_frm)
+    frm.add_argument("--by", **by)
 
-    lev = sub.add_parser("levels", help="level sequence and transition network")
-    _add_input_args(lev)
-    _add_window_args(lev)
-    _add_sub_args(lev)
-    _add_level_args(lev)
-    lev.add_argument("--by", choices=tuple(_BY_CHOICES), default="transition")
+    lev = sub.add_parser("levels", help="level sequence and transition network", parents=[file_in, analysis, out])
+    lev.add_argument("--by", **by)
     lev.add_argument("--per-entry", action="store_true", help="count transitions between entry events only")
-    _add_output_arg(lev)
-    lev.set_defaults(func=_cmd_levels)
 
-    emb = sub.add_parser("embed", help="time-delay embedding export")
-    _add_input_args(emb)
-    _add_embed_args(emb, require=True)
-    emb.add_argument("--color", choices=("pattern", "level", "none"), default="pattern")
-    _add_window_args(emb)
-    _add_sub_args(emb)
-    _add_level_args(emb)
-    emb.add_argument("--by", choices=tuple(_BY_CHOICES), default="transition")
-    _add_output_arg(emb)
-    emb.set_defaults(func=_cmd_embed)
+    emb = sub.add_parser("embed", help="time-delay embedding export", parents=[file_in, analysis, out])
+    emb.add_argument("--dim", type=int, required=True, help="embedding dimension")
+    emb.add_argument("--lag", type=int, required=True, help="embedding lag in samples")
+    emb.add_argument("--color", choices=_COLORS, default="pattern")
+    emb.add_argument("--by", **by)
 
-    pipe = sub.add_parser("pipeline", help="full analysis in one run")
-    pipe.add_argument("source", help=f"one of {', '.join(SYSTEMS)} or a series file")
-    pipe.add_argument("--format", choices=("csv", "whitespace"), default="csv")
-    _add_sim_args(pipe)
-    _add_window_args(pipe)
-    _add_sub_args(pipe)
-    _add_level_args(pipe)
-    _add_embed_args(pipe)
-    pipe.add_argument("--color", choices=("pattern", "level", "none"), default="pattern")
+    pipe = sub.add_parser("pipeline", help="full analysis in one run", parents=[sim, analysis, out])
+    pipe.add_argument("input", metavar="source", help=f"one of {', '.join(SYSTEMS)} or a series file")
+    pipe.add_argument("--format", choices=_FORMATS, default="csv")
+    pipe.add_argument("--dim", type=int, help="embedding dimension")
+    pipe.add_argument("--lag", type=int, help="embedding lag in samples")
+    pipe.add_argument("--color", choices=_COLORS, default="pattern")
     pipe.add_argument("--frm-level", type=int, default=1, help="entropy level whose partitions get FRMs")
     pipe.add_argument("--sign-split", action="store_true")
-    pipe.add_argument("--by", choices=tuple(_BY_CHOICES), default="transition")
+    pipe.add_argument("--by", **by)
     pipe.add_argument("--per-entry", action="store_true")
-    _add_output_arg(pipe)
-    pipe.set_defaults(func=_cmd_pipeline)
 
-    rer = sub.add_parser("rerun", help="replay a run from its manifest")
+    rer = sub.add_parser("rerun", help="replay a run from its manifest", parents=[out])
     rer.add_argument("manifest", help="path to a manifest.json")
-    _add_output_arg(rer)
-    rer.set_defaults(func=_cmd_rerun)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except OrdmapsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+        if args.command == "rerun":
+            spec = load_manifest(args.manifest)
+            spec.pop("manifest_sha256", None)
+            spec.pop("outputs", None)
+        else:
+            spec = _spec_from_args(args)
+        return _execute(spec, args.out_dir)
+    except (OrdmapsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

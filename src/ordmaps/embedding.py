@@ -62,7 +62,8 @@ def window_from_embedding(cfg: EmbeddingConfig, m: int) -> WindowConfig:
         raise ConfigError(f"m must be at least 2, got {m}")
     span = cfg.span
     if span % (m - 1) != 0:
-        candidates = [mm for mm in range(2, span + 2) if span % (mm - 1) == 0]
+        # m = 2 always divides, so no nearer candidate lies at or beyond 2 * m
+        candidates = [mm for mm in range(2, min(span + 2, 2 * m)) if span % (mm - 1) == 0]
         nearest = min(candidates, key=lambda mm: (abs(mm - m), mm))
         raise ConfigError(
             f"window span {span} is not divisible by m - 1 = {m - 1}; nearest valid m is {nearest}"

@@ -12,6 +12,8 @@ import hashlib
 import json
 from pathlib import Path
 
+from .errors import ConfigError
+
 TOOL_VERSION = "0.1.0"
 
 
@@ -34,5 +36,11 @@ def write_manifest(payload: dict, path) -> dict:
 
 
 def load_manifest(path) -> dict:
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+    """The JSON object in a manifest file; ConfigError if it holds anything else."""
+    try:
+        payload = json.loads(Path(path).read_bytes())
+    except (ValueError, RecursionError) as exc:  # not JSON or UTF-8, or nested too deep
+        raise ConfigError(f"manifest {path} is not JSON: {exc}") from None
+    if not isinstance(payload, dict):
+        raise ConfigError(f"manifest {path} does not hold a JSON object")
+    return payload

@@ -27,7 +27,7 @@ degenerate and given zero entropies.
 Sorting partitions by a weighted entropy typically shows plateaus
 separated by sharp drops. :func:`detect_levels` formalizes that: split the
 descending list at the largest consecutive gaps exceeding
-``gap_fraction * top_value``, using at most ``max_levels`` groups.
+``gap_fraction * top_value``, using at most ``max_levels`` groups (see :class:`LevelConfig`).
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from .encoding import (
     pattern_code,
     symbolize,
 )
-from .errors import PatternAbsentError
+from .errors import ConfigError, PatternAbsentError
 from .network import build_opn, markov_estimate, permutation_entropy
 from .series import TimeSeries
 
@@ -58,12 +58,29 @@ class SubSeriesConfig:
     tau: int = 1
     w: int = 1
 
+    def __post_init__(self):
+        self.window()  # the secondary window must itself be valid
+
     def min_samples(self) -> int:
         """Fewest sub-series samples that still yield two secondary windows."""
         return (self.m - 1) * self.tau + 1 + self.w
 
     def window(self) -> WindowConfig:
         return WindowConfig(m=self.m, tau=self.tau, w=self.w, ranking="chronological")
+
+
+@dataclass(frozen=True)
+class LevelConfig:
+    """Settings of the gap-based level detector, see :func:`detect_levels`."""
+
+    gap_fraction: float = 0.15
+    max_levels: int = 3
+
+    def __post_init__(self):
+        if not 0.0 < self.gap_fraction < 1.0:
+            raise ConfigError(f"gap_fraction must lie in (0, 1), got {self.gap_fraction}")
+        if self.max_levels < 1:
+            raise ConfigError(f"max_levels must be at least 1, got {self.max_levels}")
 
 
 @dataclass(frozen=True)
@@ -188,7 +205,7 @@ def rank_partitions(reports: list[PartitionReport], by: str = "transition_entrop
 
 
 def detect_levels(
-    sorted_entropies, gap_fraction: float = 0.15, max_levels: int = 3
+    sorted_entropies, gap_fraction: float = LevelConfig.gap_fraction, max_levels: int = LevelConfig.max_levels
 ) -> list[int]:
     """Group a descending entropy list at its largest qualifying gaps.
 
@@ -202,10 +219,7 @@ def detect_levels(
     e = np.asarray(list(sorted_entropies), dtype=np.float64)
     if e.size == 0:
         raise ValueError("entropy list is empty")
-    if not 0.0 < gap_fraction < 1.0:
-        raise ValueError(f"gap_fraction must lie in (0, 1), got {gap_fraction}")
-    if max_levels < 1:
-        raise ValueError(f"max_levels must be at least 1, got {max_levels}")
+    LevelConfig(gap_fraction, max_levels)
     if np.any(e[1:] > e[:-1]):
         raise ValueError("entropies must be sorted in descending order")
     gaps = e[:-1] - e[1:]
@@ -219,12 +233,13 @@ def detect_levels(
 
 
 def assign_levels(
-    reports: list[PartitionReport], gap_fraction: float = 0.15, max_levels: int = 3
+    reports: list[PartitionReport], levels: LevelConfig | None = None
 ) -> list[PartitionReport]:
     """Label every report with its level under both entropy variants."""
+    levels = levels or LevelConfig()
     for by, attr in zip(RANK_KEYS, LEVEL_KEYS):
         ranked = rank_partitions(reports, by)
-        labels = detect_levels([getattr(r, by) for r in ranked], gap_fraction, max_levels)
+        labels = detect_levels([getattr(r, by) for r in ranked], levels.gap_fraction, levels.max_levels)
         for report, label in zip(ranked, labels):
             setattr(report, attr, label)
     return reports
@@ -234,8 +249,7 @@ def analyze_partitions(
     series: TimeSeries,
     seq: SymbolSequence,
     sub_cfg: SubSeriesConfig | None = None,
-    gap_fraction: float = 0.15,
-    max_levels: int = 3,
+    levels: LevelConfig | None = None,
 ) -> list[PartitionReport]:
     """Report on every occurring partition, levels assigned, in pattern order."""
     corpus = corpus_counts(seq)
@@ -243,4 +257,4 @@ def analyze_partitions(
         weighted_entropies(series, seq, pattern, sub_cfg, corpus)
         for pattern, _ in distinct_patterns(seq)
     ]
-    return assign_levels(reports, gap_fraction=gap_fraction, max_levels=max_levels)
+    return assign_levels(reports, levels)

@@ -32,8 +32,7 @@ class TimeSeries:
         self.samples = np.asarray(self.samples, dtype=np.float64)
         if self.samples.ndim != 1:
             raise ValueError(f"samples must be one-dimensional, got shape {self.samples.shape}")
-        if not self.dt > 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
+        check_dt(self.dt)
         finite = np.isfinite(self.samples)
         if not finite.all():
             bad = int(np.flatnonzero(~finite)[0])
@@ -47,13 +46,21 @@ class TimeSeries:
         return self.origin_time + self.dt * np.arange(len(self.samples))
 
 
+def check_dt(dt: float) -> float:
+    """The sample interval itself if it is positive and finite."""
+    if not 0.0 < dt < math.inf:
+        raise ConfigError(f"dt must be positive and finite, got {dt}")
+    return dt
+
+
 def load_series(path, format: str = "csv", dt: float | None = None) -> TimeSeries:
     """Read a single-column series file.
 
     One numeric value per row. Lines starting with ``#`` are comments; a
     comment of the form ``# dt=0.01`` supplies the sample interval when the
-    caller does not. A single non-numeric header row is skipped. Any other
-    non-numeric cell raises :class:`ParseError` naming the physical row.
+    caller does not. A single non-numeric header row (undecodable bytes count
+    as text) is skipped. Any other non-numeric cell or unparsable ``dt``
+    comment raises :class:`ParseError` naming the physical row.
     """
     if format not in ("csv", "whitespace"):
         raise ValueError(f"format must be 'csv' or 'whitespace', got {format!r}")
@@ -61,7 +68,8 @@ def load_series(path, format: str = "csv", dt: float | None = None) -> TimeSerie
     header_dt = None
     header_skipped = False
     values: list[float] = []
-    with open(path, encoding="utf-8") as fh:
+    # undecodable bytes become U+FFFD, which no cell parses as a number
+    with open(path, encoding="utf-8", errors="replace") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line:
@@ -69,7 +77,12 @@ def load_series(path, format: str = "csv", dt: float | None = None) -> TimeSerie
             if line.startswith("#"):
                 match = _DT_COMMENT.search(line)
                 if match:
-                    header_dt = float(match.group(1))
+                    try:
+                        header_dt = float(match.group(1))
+                    except ValueError:
+                        raise ParseError(
+                            f"cannot parse dt {match.group(1)!r} at row {lineno}", row=lineno
+                        ) from None
                 continue
             cells = line.split(",") if format == "csv" else line.split()
             cells = [c.strip() for c in cells if c.strip()]

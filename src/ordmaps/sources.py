@@ -78,6 +78,8 @@ class SimulationConfig:
             raise ConfigError(
                 f"discard_fraction must lie in [0, 1), got {self.discard_fraction}"
             )
+        if self.seed is not None and self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
 
 
 def kept_points(cfg: SimulationConfig) -> int:
@@ -192,8 +194,8 @@ def integrate_rossler(
 
 def delay_steps(delay: float, dt: float) -> int:
     """Number of grid steps spanned by the delay; must divide exactly."""
-    if delay <= 0:
-        raise ConfigError(f"delay must be positive, got {delay}")
+    if not 0 < delay < math.inf:
+        raise ConfigError(f"delay must be positive and finite, got {delay}")
     ratio = delay / dt
     steps = round(ratio)
     if steps < 1 or abs(ratio - steps) > 1e-9 * max(1.0, steps):
@@ -239,9 +241,12 @@ def integrate_mackey_glass(
         if xd0 < 0.0 or xd1 < 0.0:
             raise DivergenceError("mackey-glass state left the nonnegative domain", step=step)
         xdh = 0.5 * (xd0 + xd1)
-        p0 = beta * xd0 / (1.0 + xd0**n)
-        ph = beta * xdh / (1.0 + xdh**n)
-        p1 = beta * xd1 / (1.0 + xd1**n)
+        try:
+            p0 = beta * xd0 / (1.0 + xd0**n)
+            ph = beta * xdh / (1.0 + xdh**n)
+            p1 = beta * xd1 / (1.0 + xd1**n)
+        except OverflowError:  # float ** raises where * would give inf
+            raise DivergenceError("mackey-glass delayed term overflowed", step=step) from None
         k1 = p0 - gamma * x
         k2 = ph - gamma * (x + half * k1)
         k3 = ph - gamma * (x + half * k2)

@@ -1,6 +1,9 @@
+import dataclasses
 import json
 import subprocess
 import sys
+import typing
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -240,3 +243,60 @@ def test_rerun_rejects_unknown_command(tmp_path, capsys):
     rc = _run(["rerun", bad])
     assert rc == 1
     assert "unknown command" in capsys.readouterr().err
+
+
+def _lorenz_manifest_without_input(tmp_path):
+    spec = json.loads((Path(__file__).parent / "data" / "pipeline_lorenz_manifest.json").read_text())
+    del spec["input"]
+    path = tmp_path / "no_input.json"
+    path.write_text(json.dumps(spec))
+    return path
+
+
+# (argv with IN for the input path, how to make IN, the text the error names)
+ESCAPES = {
+    "header dt=abc": (["analyze", "IN"], "# dt=abc\nx\n1\n2\n3\n", "dt 'abc' at row 1"),
+    "header dt=0": (["analyze", "IN"], "# dt=0\nx\n1\n2\n3\n", "dt must be positive"),
+    "manifest not JSON": (["rerun", "IN"], "{not json", "not JSON"),
+    "manifest without input": (["rerun", "IN"], _lorenz_manifest_without_input, "input"),
+    "manifest nested too deep": (["rerun", "IN"], "[" * 100000, "not JSON"),
+    "pattern not parsable": (["frm", "IN", "--pattern", "1-2-x-4"], None, "--pattern"),
+    "pattern not a permutation": (["frm", "IN", "--pattern", "1-2-3-5"], None, "--pattern"),
+    "pattern length not m": (["frm", "IN", "--pattern", "1-2", "--m", "4"], None, "--pattern 1-2 has 2 entries but m is 4"),
+    "gap fraction above 1": (["analyze", "IN", "--gap-fraction", "1.5"], None, "gap_fraction"),
+    "max levels 0": (["levels", "IN", "--max-levels", "0"], None, "max_levels"),
+    "dt 0": (["analyze", "IN", "--dt", "0"], None, "dt must be positive"),
+    "frm level 0": (["frm", "IN", "--level", "0"], None, "--level/--frm-level must lie in 1..3"),
+    "pipeline frm level 7": (["pipeline", "IN", "--frm-level", "7"], None, "--level/--frm-level must lie in 1..3"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ESCAPES))
+def test_bad_input_fails_with_one_error_line(case, tmp_path, capsys):
+    argv, make, named = ESCAPES[case]
+    path = tmp_path / "missing.csv"  # flag cases: checked before the file is opened
+    if isinstance(make, str):
+        path = tmp_path / "input.txt"
+        path.write_text(make)
+    elif make is not None:
+        path = make(tmp_path)
+    out = tmp_path / "out"
+    rc = _run([path if a == "IN" else a for a in argv] + ["--out-dir", out])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+    assert named in err
+    if make is None:
+        assert "missing.csv" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "cls",
+    [*cli._PARAMS.values(), om.SimulationConfig, om.WindowConfig, om.SubSeriesConfig, om.LevelConfig, om.EmbeddingConfig],
+    ids=lambda cls: cls.__name__,
+)
+def test_every_spec_field_type_has_a_json_check(cls):
+    hints = typing.get_type_hints(cls)
+    missing = [f.name for f in dataclasses.fields(cls) if hints[f.name] not in cli._IS]
+    assert not missing, f"add a check to cli._IS for {cls.__name__} fields {missing}"

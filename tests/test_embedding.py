@@ -50,5 +50,8 @@ def test_window_from_embedding_rejects_nondivisible():
         om.window_from_embedding(om.LORENZ_EMBEDDING, 6)
     with pytest.raises(om.ConfigError, match="nearest valid m is 5"):
         om.window_from_embedding(om.MACKEY_GLASS_EMBEDDING, 6)
+    # a huge span must not make the search for the nearest m walk all its divisors
+    with pytest.raises(om.ConfigError, match="nearest valid m is 2"):
+        om.window_from_embedding(om.EmbeddingConfig(dim=2, lag=10**12 + 1), 4)
     with pytest.raises(om.ConfigError, match="at least 2"):
         om.window_from_embedding(om.LORENZ_EMBEDDING, 1)

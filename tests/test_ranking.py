@@ -234,3 +234,19 @@ def test_analyze_partitions_order_and_share_sums(rng):
         for r in reports:
             assert r.entries <= r.occurrence
             assert r.entries >= 1
+
+
+def test_level_config_holds_detector_defaults_and_checks():
+    assert om.LevelConfig() == om.LevelConfig(gap_fraction=0.15, max_levels=3)
+    with pytest.raises(om.ConfigError, match="gap_fraction"):
+        om.LevelConfig(gap_fraction=1.5)
+    with pytest.raises(om.ConfigError, match="max_levels"):
+        om.LevelConfig(max_levels=0)
+    ts, seq = _analyzed(PI_DIGITS)
+    one = om.analyze_partitions(ts, seq, levels=om.LevelConfig(max_levels=1))
+    assert {r.transition_level for r in one} == {1}
+
+
+def test_subseries_config_checks_its_window():
+    with pytest.raises(om.ConfigError, match="m must lie"):
+        om.SubSeriesConfig(m=1)

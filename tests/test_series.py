@@ -121,3 +121,31 @@ def test_sha256_stable_across_dump_load(tmp_path):
     path = tmp_path / "s.csv"
     om.dump_series(ts, path)
     assert om.series_sha256(om.load_series(path)) == om.series_sha256(ts)
+
+
+def test_unparsable_header_dt_is_parse_error_naming_row(tmp_path):
+    path = tmp_path / "s.csv"
+    path.write_text("x\n# dt=abc\n1.0\n2.0\n")
+    with pytest.raises(om.ParseError, match="row 2") as info:
+        om.load_series(path)
+    assert info.value.row == 2
+
+
+@pytest.mark.parametrize("bad", ["0", "-0.5", "nan", "inf"])
+def test_unusable_dt_is_config_error(tmp_path, bad):
+    path = tmp_path / "s.csv"
+    path.write_text(f"# dt={bad}\n1.0\n2.0\n")
+    with pytest.raises(om.ConfigError, match="dt must be positive and finite"):
+        om.load_series(path)
+    path.write_text("# dt=0.5\n1.0\n2.0\n")
+    with pytest.raises(om.ConfigError, match="dt must be positive and finite"):
+        om.load_series(path, dt=float(bad))
+
+
+def test_bytes_that_are_not_utf8_count_as_text(tmp_path):
+    path = tmp_path / "s.csv"
+    path.write_bytes(b"# dt=1\n1.0\n\xff\xfe\n")
+    with pytest.raises(om.ParseError, match="row 3"):
+        om.load_series(path)
+    path.write_bytes(b"# dt=1\ntemp\xe9rature\n1.0\n2.0\n")
+    assert om.load_series(path).samples.tolist() == [1.0, 2.0]

@@ -23,6 +23,8 @@ def test_simulation_config_validation():
         om.SimulationConfig(discard_fraction=1.0)
     with pytest.raises(om.ConfigError, match="discard_fraction"):
         om.SimulationConfig(discard_fraction=-0.1)
+    with pytest.raises(om.ConfigError, match="seed must be non-negative"):
+        om.SimulationConfig(seed=-1)
 
 
 def test_flows_need_seed_or_initial_state():
@@ -71,8 +73,9 @@ def test_delay_steps_requires_exact_multiple():
     assert om.delay_steps(0.03, 0.01) == 3
     with pytest.raises(om.ConfigError, match="integer multiple"):
         om.delay_steps(0.025, 0.01)
-    with pytest.raises(om.ConfigError, match="delay must be positive"):
-        om.delay_steps(0.0, 0.01)
+    for delay in (0.0, float("nan"), float("inf")):
+        with pytest.raises(om.ConfigError, match="delay must be positive"):
+            om.delay_steps(delay, 0.01)
 
 
 def test_mackey_glass_constant_history_is_fixed_point():
@@ -94,6 +97,14 @@ def test_mackey_glass_negative_delayed_state_diverges():
     )
     params = om.MackeyGlassParams(delay=0.02)
     with pytest.raises(om.DivergenceError, match="nonnegative"):
+        om.integrate_mackey_glass(params=params, cfg=cfg)
+
+
+def test_mackey_glass_overflow_is_divergence():
+    # float ** raises OverflowError where the product would be inf
+    cfg = om.SimulationConfig(dt=0.01, total_points=100, discard_fraction=0.0)
+    params = om.MackeyGlassParams(exponent=5000.0, history_value=2.0)
+    with pytest.raises(om.DivergenceError, match="overflowed"):
         om.integrate_mackey_glass(params=params, cfg=cfg)
 
 
