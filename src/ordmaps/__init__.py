@@ -25,6 +25,7 @@ from .encoding import (
     decode_pattern,
     display_pattern,
     distinct_patterns,
+    entry_mask,
     pattern_code,
     pattern_of_window,
     symbolize,
@@ -53,15 +54,12 @@ from .network import (
     permutation_entropy,
 )
 from .ranking import (
-    CorpusCounts,
     LevelConfig,
     PartitionReport,
     SubSeriesConfig,
     analyze_partitions,
     assign_levels,
-    corpus_counts,
     detect_levels,
-    entry_mask,
     entry_points,
     extract_subseries,
     rank_partitions,
@@ -92,7 +90,6 @@ from .sources import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CorpusCounts",
     "ConfigError",
     "DiagonalSplit",
     "DivergenceError",
@@ -127,7 +124,6 @@ __all__ = [
     "build_opn",
     "canonical_pattern",
     "chron_to_amplitude",
-    "corpus_counts",
     "decode_pattern",
     "delay_embed",
     "delay_steps",

@@ -46,7 +46,7 @@ from .encoding import (
     display_pattern,
     symbolize,
 )
-from .errors import ConfigError, OrdmapsError
+from .errors import ConfigError, EmptyMapError, OrdmapsError
 from .exports import (
     diagonal_summary,
     write_embedding_csv,
@@ -68,7 +68,6 @@ from .ranking import (
     LevelConfig,
     SubSeriesConfig,
     analyze_partitions,
-    entry_mask,
     entry_points,
 )
 from .returnmaps import frm_from_entries, maxima_frm
@@ -372,18 +371,17 @@ def _write_embedding(writer, series, run, seq, reports):
     if seq is None or run.color == "none":
         writer.emit("embedded.csv", lambda p: write_embedding_csv(points, p))
         return
-    ranking = seq.config.ranking
+    shown = [display_pattern(pattern, seq.config.ranking).dashed() for pattern in seq.patterns]
     lv = level_sequence(seq, reports, _LEVEL_ATTR[run.level_network["by"]])
-    entries = entry_mask(seq.codes)
     pattern_col = [""] * len(points)
     level_col = [""] * len(points)
     entry_col = [0] * len(points)
-    for pos, start in enumerate(seq.start_indices):
-        k = int(start)
-        if k < len(points):
-            pattern_col[k] = display_pattern(seq.symbol(pos), ranking).dashed()
-            level_col[k] = str(int(lv[pos]))
-            entry_col[k] = int(entries[pos])
+    inside = seq.start_indices < len(points)
+    columns = (seq.start_indices, seq.inverse, lv, seq.entries)
+    for k, i, level, entry in zip(*(col[inside].tolist() for col in columns)):
+        pattern_col[k] = shown[i]
+        level_col[k] = str(level)
+        entry_col[k] = int(entry)
     writer.emit(
         "embedded.csv",
         lambda p: write_embedding_csv(points, p, pattern_col, level_col, entry_col),
@@ -408,7 +406,11 @@ def _run_frm(run, series, writer):
         seq = symbolize(series, run.window)
     elif run.frm["mode"] == "level":
         seq, reports = _analysis(series, run)
-    _write_frm(writer, _frm_maps(series, run, seq, reports))
+    maps = _frm_maps(series, run, seq, reports)
+    if not maps:  # the other modes raise on their own; pipeline adds a maxima map
+        level, by = run.frm["level"], run.frm["by"]
+        raise EmptyMapError(f"no partition at level {level} (by {by}) has the 2 entry points a map needs", count=0)
+    _write_frm(writer, maps)
 
 
 def _run_levels(run, series, writer):

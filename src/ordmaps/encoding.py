@@ -21,7 +21,9 @@ derived on demand via :func:`chron_to_amplitude`.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -157,7 +159,16 @@ def decode_pattern(code: int, m: int) -> OrdinalPattern:
     return OrdinalPattern(tuple(reversed(digits)))
 
 
-@dataclass(eq=False)
+def entry_mask(codes: np.ndarray) -> np.ndarray:
+    """True where a window's pattern differs from its predecessor's."""
+    mask = np.empty(codes.shape, dtype=bool)
+    if codes.size:
+        mask[0] = True
+        mask[1:] = codes[1:] != codes[:-1]
+    return mask
+
+
+@dataclass(frozen=True, eq=False)
 class SymbolSequence:
     """Per-window ordinal patterns of one series.
 
@@ -165,6 +176,10 @@ class SymbolSequence:
     int64 key (lexicographic pattern order equals numeric key order);
     ``start_indices[k]`` is the source index anchoring window k. The display
     ranking lives in ``config`` and only affects rendering.
+
+    The windows are grouped by pattern once, on first use, and every module
+    reads that one grouping: ``patterns``, ``inverse``, ``windows`` and
+    ``entries``. The class is frozen so the grouping cannot go stale.
     """
 
     codes: np.ndarray
@@ -175,12 +190,48 @@ class SymbolSequence:
     def __len__(self) -> int:
         return len(self.codes)
 
+    @cached_property
+    def _unique(self) -> tuple[np.ndarray, np.ndarray]:
+        return np.unique(self.codes, return_inverse=True)
+
+    @cached_property
+    def patterns(self) -> tuple[OrdinalPattern, ...]:
+        """The distinct patterns, each decoded once, in lexicographic order."""
+        return tuple(decode_pattern(int(code), self.config.m) for code in self._unique[0])
+
+    @property
+    def inverse(self) -> np.ndarray:
+        """For each window, the index of its pattern in ``patterns``."""
+        return self._unique[1]
+
+    @cached_property
+    def windows(self) -> tuple[np.ndarray, ...]:
+        """The ascending window indices of each pattern."""
+        order = np.argsort(self.inverse, kind="stable")
+        return tuple(np.split(order, np.cumsum(np.bincount(self.inverse))[:-1]))
+
+    @cached_property
+    def entries(self) -> np.ndarray:
+        """The entry mask of the windows, see :func:`entry_mask`."""
+        return entry_mask(self.codes)
+
+    @cached_property
+    def entry_count(self) -> int:
+        return int(self.entries.sum())
+
+    def windows_of(self, pattern: OrdinalPattern) -> np.ndarray:
+        """The ascending indices of the windows carrying the pattern; empty if none do."""
+        i = bisect_left(self.patterns, pattern)
+        if i < len(self.patterns) and self.patterns[i] == pattern:
+            return self.windows[i]
+        return np.empty(0, dtype=np.intp)
+
     @property
     def symbols(self) -> list[OrdinalPattern]:
-        return [decode_pattern(int(c), self.config.m) for c in self.codes]
+        return [self.patterns[i] for i in self.inverse.tolist()]
 
     def symbol(self, k: int) -> OrdinalPattern:
-        return decode_pattern(int(self.codes[k]), self.config.m)
+        return self.patterns[self.inverse[k]]
 
 
 def symbolize(series: TimeSeries, cfg: WindowConfig | None = None) -> SymbolSequence:
@@ -206,11 +257,7 @@ def symbolize(series: TimeSeries, cfg: WindowConfig | None = None) -> SymbolSequ
 
 def distinct_patterns(seq: SymbolSequence) -> list[tuple[OrdinalPattern, int]]:
     """Occurring patterns with their window counts, in lexicographic order."""
-    uniq, counts = np.unique(seq.codes, return_counts=True)
-    return [
-        (decode_pattern(int(code), seq.config.m), int(count))
-        for code, count in zip(uniq, counts)
-    ]
+    return [(pattern, len(windows)) for pattern, windows in zip(seq.patterns, seq.windows)]
 
 
 def display_pattern(pattern: OrdinalPattern, ranking: str) -> OrdinalPattern:

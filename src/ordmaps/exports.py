@@ -29,12 +29,13 @@ def _write_rows(path, header: list[str], rows) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _shown(patterns, ranking: str) -> list[str]:
+    return [display_pattern(pattern, ranking).dashed() for pattern in patterns]
+
+
 def write_symbols_csv(seq: SymbolSequence, path) -> None:
-    ranking = seq.config.ranking
-    rows = (
-        (int(start), display_pattern(pattern, ranking).dashed())
-        for start, pattern in zip(seq.start_indices, seq.symbols)
-    )
+    shown = _shown(seq.patterns, seq.config.ranking)
+    rows = zip(seq.start_indices.tolist(), (shown[i] for i in seq.inverse.tolist()))
     _write_rows(path, ["start_index", "pattern"], rows)
 
 
@@ -82,18 +83,9 @@ def write_entropy_curve_csv(reports: list[PartitionReport], path, ranking: str =
 
 
 def write_opn_edges_csv(tc: TransitionCounts, path, ranking: str = "chronological") -> None:
-    rows = []
-    for i, src in enumerate(tc.patterns):
-        for j, dst in enumerate(tc.patterns):
-            count = int(tc.counts[i, j])
-            if count:
-                rows.append(
-                    (
-                        display_pattern(src, ranking).dashed(),
-                        display_pattern(dst, ranking).dashed(),
-                        count,
-                    )
-                )
+    """The non-zero edges in row-major order."""
+    shown = _shown(tc.patterns, ranking)
+    rows = ((shown[i], shown[j], int(tc.counts[i, j])) for i, j in zip(*np.nonzero(tc.counts)))
     _write_rows(path, ["from_pattern", "to_pattern", "count"], rows)
 
 
@@ -106,11 +98,7 @@ def write_opn_nodes_csv(est: MarkovEstimate, path, ranking: str = "chronological
 
 
 def write_frm_csv(rm: ReturnMap, path) -> None:
-    rows = []
-    for k in range(len(rm)):
-        tag = rm.source if rm.entry_tags is None else f"{rm.source}:{rm.entry_tags[k]}"
-        rows.append((_fmt(rm.values[k]), _fmt(rm.values[k + 1]), tag))
-    _write_rows(path, ["v", "v_next", "source"], rows)
+    write_frm_combined_csv([rm], path)
 
 
 def write_frm_combined_csv(maps: list[ReturnMap], path) -> None:

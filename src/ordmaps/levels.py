@@ -6,9 +6,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoding import SymbolSequence, decode_pattern, pattern_code
+from .encoding import SymbolSequence
 from .errors import PatternAbsentError, TooShortError
-from .ranking import LEVEL_KEYS, PartitionReport, entry_mask
+from .ranking import LEVEL_KEYS, PartitionReport
 
 
 @dataclass(eq=False)
@@ -31,25 +31,19 @@ def level_sequence(
     """Map every window to the level of its partition."""
     if by not in LEVEL_KEYS:
         raise ValueError(f"by must be one of {LEVEL_KEYS}, got {by!r}")
-    code_to_level = {pattern_code(r.pattern): getattr(r, by) for r in reports}
-    uniq = np.unique(seq.codes)
-    levels = np.empty(uniq.size, dtype=np.int64)
-    for i, code in enumerate(uniq):
-        try:
-            levels[i] = code_to_level[int(code)]
-        except KeyError:
-            missing = decode_pattern(int(code), seq.config.m)
-            raise PatternAbsentError(
-                f"no report covers occurring pattern {missing.dashed()}"
-            ) from None
-    return levels[np.searchsorted(uniq, seq.codes)]
+    level_of = {r.pattern: getattr(r, by) for r in reports}
+    try:
+        levels = np.array([level_of[pattern] for pattern in seq.patterns], dtype=np.int64)
+    except KeyError as exc:
+        raise PatternAbsentError(f"no report covers occurring pattern {exc.args[0].dashed()}") from None
+    return levels[seq.inverse]
 
 
 def entry_level_sequence(
     seq: SymbolSequence, reports: list[PartitionReport], by: str = "transition_level"
 ) -> np.ndarray:
     """Level labels restricted to entry events (first window of each run)."""
-    return level_sequence(seq, reports, by)[entry_mask(seq.codes)]
+    return level_sequence(seq, reports, by)[seq.entries]
 
 
 def build_level_network(level_seq) -> LevelNetwork:

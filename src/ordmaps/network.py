@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoding import OrdinalPattern, SymbolSequence, decode_pattern
+from .encoding import OrdinalPattern, SymbolSequence
 from .errors import TooShortError
 
 
@@ -56,14 +56,12 @@ class MarkovEstimate:
 
 def build_opn(seq: SymbolSequence) -> TransitionCounts:
     """Count consecutive symbol transitions, self-loops included."""
-    if len(seq.codes) < 2:
-        raise TooShortError(f"need at least 2 symbols to build a network, got {len(seq.codes)}")
-    uniq, inverse = np.unique(seq.codes, return_inverse=True)
-    k = uniq.size
-    pair_keys = inverse[:-1] * k + inverse[1:]
+    if len(seq) < 2:
+        raise TooShortError(f"need at least 2 symbols to build a network, got {len(seq)}")
+    k = len(seq.patterns)
+    pair_keys = seq.inverse[:-1] * k + seq.inverse[1:]
     counts = np.bincount(pair_keys, minlength=k * k).reshape(k, k)
-    patterns = [decode_pattern(int(code), seq.config.m) for code in uniq]
-    return TransitionCounts(patterns=patterns, counts=counts)
+    return TransitionCounts(patterns=list(seq.patterns), counts=counts)
 
 
 def markov_estimate(tc: TransitionCounts) -> MarkovEstimate:

@@ -37,14 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .encoding import (
-    OrdinalPattern,
-    SymbolSequence,
-    WindowConfig,
-    distinct_patterns,
-    pattern_code,
-    symbolize,
-)
+from .encoding import OrdinalPattern, SymbolSequence, WindowConfig, symbolize
 from .errors import ConfigError, PatternAbsentError
 from .network import build_opn, markov_estimate, permutation_entropy
 from .series import TimeSeries
@@ -83,14 +76,6 @@ class LevelConfig:
             raise ConfigError(f"max_levels must be at least 1, got {self.max_levels}")
 
 
-@dataclass(frozen=True)
-class CorpusCounts:
-    """Denominators for the coverage shares."""
-
-    total_windows: int
-    total_entries: int
-
-
 @dataclass(eq=False)
 class PartitionReport:
     """Everything measured about one ordinal partition.
@@ -114,27 +99,10 @@ class PartitionReport:
     transition_level: int = 1
 
 
-def entry_mask(codes: np.ndarray) -> np.ndarray:
-    """True where a window's pattern differs from its predecessor's."""
-    mask = np.empty(codes.shape, dtype=bool)
-    if codes.size:
-        mask[0] = True
-        mask[1:] = codes[1:] != codes[:-1]
-    return mask
-
-
-def corpus_counts(seq: SymbolSequence) -> CorpusCounts:
-    return CorpusCounts(
-        total_windows=len(seq.codes),
-        total_entries=int(entry_mask(seq.codes).sum()),
-    )
-
-
 def entry_points(seq: SymbolSequence, pattern: OrdinalPattern) -> np.ndarray:
     """Start indices of windows that enter the pattern; may be empty."""
-    code = pattern_code(pattern)
-    selector = (seq.codes == code) & entry_mask(seq.codes)
-    return seq.start_indices[selector]
+    windows = seq.windows_of(pattern)
+    return seq.start_indices[windows[seq.entries[windows]]]
 
 
 def extract_subseries(
@@ -144,11 +112,10 @@ def extract_subseries(
 
     The gaps between visits are spliced out, so dt is only nominal.
     """
-    code = pattern_code(pattern)
-    selector = seq.codes == code
-    if not selector.any():
+    windows = seq.windows_of(pattern)
+    if not windows.size:
         raise PatternAbsentError(f"pattern {pattern.dashed()} does not occur")
-    return TimeSeries(series.samples[seq.start_indices[selector]].copy(), series.dt)
+    return TimeSeries(series.samples[seq.start_indices[windows]], series.dt)
 
 
 def weighted_entropies(
@@ -156,20 +123,15 @@ def weighted_entropies(
     seq: SymbolSequence,
     pattern: OrdinalPattern,
     sub_cfg: SubSeriesConfig | None = None,
-    corpus: CorpusCounts | None = None,
 ) -> PartitionReport:
     """Measure one partition: shares, sub-series entropy, weighted variants."""
     sub_cfg = sub_cfg or SubSeriesConfig()
-    corpus = corpus or corpus_counts(seq)
-    code = pattern_code(pattern)
-    occurrence = int((seq.codes == code).sum())
-    if occurrence == 0:
-        raise PatternAbsentError(f"pattern {pattern.dashed()} does not occur")
-    entry_idx = entry_points(seq, pattern)
-    share = occurrence / corpus.total_windows
-    entry_share = len(entry_idx) / corpus.total_entries
     sub = extract_subseries(series, seq, pattern)
-    if len(sub) < sub_cfg.min_samples():
+    occurrence = len(sub)  # one sample per window carrying the pattern
+    entry_idx = entry_points(seq, pattern)
+    share = occurrence / len(seq)
+    entry_share = len(entry_idx) / seq.entry_count
+    if occurrence < sub_cfg.min_samples():
         h = h_w = h_wt = 0.0
         degenerate = True
     else:
@@ -252,9 +214,5 @@ def analyze_partitions(
     levels: LevelConfig | None = None,
 ) -> list[PartitionReport]:
     """Report on every occurring partition, levels assigned, in pattern order."""
-    corpus = corpus_counts(seq)
-    reports = [
-        weighted_entropies(series, seq, pattern, sub_cfg, corpus)
-        for pattern, _ in distinct_patterns(seq)
-    ]
+    reports = [weighted_entropies(series, seq, pattern, sub_cfg) for pattern in seq.patterns]
     return assign_levels(reports, levels)

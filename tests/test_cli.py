@@ -253,6 +253,12 @@ def _lorenz_manifest_without_input(tmp_path):
     return path
 
 
+def _lorenz_file_with_one_level(tmp_path):
+    path = tmp_path / "lorenz.csv"
+    om.dump_series(om.integrate_lorenz(cfg=om.SimulationConfig(seed=1, total_points=20000, discard_fraction=0.5)), path)
+    return path
+
+
 # (argv with IN for the input path, how to make IN, the text the error names)
 ESCAPES = {
     "header dt=abc": (["analyze", "IN"], "# dt=abc\nx\n1\n2\n3\n", "dt 'abc' at row 1"),
@@ -267,6 +273,9 @@ ESCAPES = {
     "max levels 0": (["levels", "IN", "--max-levels", "0"], None, "max_levels"),
     "dt 0": (["analyze", "IN", "--dt", "0"], None, "dt must be positive"),
     "frm level 0": (["frm", "IN", "--level", "0"], None, "--level/--frm-level must lie in 1..3"),
+    "frm level without a map": (
+        ["frm", "IN", "--level", "2", "--gap-fraction", "0.9"], _lorenz_file_with_one_level, "level 2 (by transition)"
+    ),
     "pipeline frm level 7": (["pipeline", "IN", "--frm-level", "7"], None, "--level/--frm-level must lie in 1..3"),
 }
 

@@ -13,9 +13,11 @@ on x86-64 builds.
 
 import hashlib
 import json
+import random
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import ordmaps as om
@@ -25,7 +27,8 @@ DATA = Path(__file__).parent / "data"
 
 SMALL_SIM = ["--points", 20000, "--discard", 0.5]
 
-# name -> argv, with FILE standing for the series file
+# name -> argv, with FILE standing for the Lorenz series file and NOISE for
+# the noise file, on which hundreds of patterns occur
 CASES = {
     "generate-lorenz": ["generate", "lorenz", "--seed", 1, "--points", 3000, "--discard", 0.5],
     "generate-lorenz-flags": [
@@ -73,15 +76,20 @@ CASES = {
         "pipeline", "lorenz", "--seed", 1, *SMALL_SIM, "--lag", 12, "--color", "level",
         "--by", "weighted", "--frm-level", 2,
     ],
+    "analyze-noise-m6": ["analyze", "NOISE", "--m", 6, "--tau", 1, "--ranking", "amplitude"],
+    "levels-noise-m6": ["levels", "NOISE", "--m", 6, "--tau", 1, "--per-entry"],
+    "embed-noise-m5": ["embed", "NOISE", "--m", 5, "--tau", 1, "--dim", 3, "--lag", 2, "--color", "level"],
 }
 
 GOLDEN = {
     "analyze": "4d1a633871faa43bdabd88b76ba9f3870c2584d6842dd5a7a33c84154e7ad460",
     "analyze-amplitude": "486b24e6a762627196f57f06ac54e6945fcb7be9cc81053eb6389f319db23298",
+    "analyze-noise-m6": "e71fb5d8254623ebcbaf1541cce5fe696f82d910940b752f335bdadf0b503efb",
     "analyze-flags": "d63a0f883b9fd6af650d188680eb6ec87cec8e792d376c4bf9320501df69383f",
     "analyze-whitespace": "fe003c22819963ccdfb070ad8420c117998da8974fb27b5daffad7d7a673c428",
     "embed-level": "ce5846b0fce195a93f8c8a80fb9b7ecf668c2baf9ee67b3335ef39c62611ebba",
     "embed-none": "a35099773073da1c1bdbc58ca6b6b20616cb9e21c0bb9a371624c5c179d72390",
+    "embed-noise-m5": "bf17d7f6fe8b81e6feab7c7bbf4a13bd99b11a5e0bf74696348557e764a62de1",
     "embed-pattern": "1fb8ffd0062212486055afe1f505bc6b495995fe63e2caa71d7e99aa6b1c7170",
     "embed-tau": "79206933aa23c6a20638085656922674fa0600b50c718a67de3e5f902bd98bb5",
     "frm-level": "8e88208adfff6a4fd9d964fa5290c5c2fbf79f3948603f4e59a5b826d1ec52ef",
@@ -98,6 +106,7 @@ GOLDEN = {
     "generate-rossler": "fd84d1edc7ffca9cce1edb97937d1d494fda8f3c22ab1a3fbd9810d496889a73",
     "generate-rossler-flags": "e1a3310b8861b6f832976891866bc063313eca587f15fd8b3890a2c017c11240",
     "levels": "b3932429bab3717958c2a055ead9013b709fbf849d2fe3f79ae2ddf64f52d7f4",
+    "levels-noise-m6": "bc2a1cebb0aeb4737522380c9f14baaffb51ed487fa515c5363f3468d44d7d3d",
     "levels-per-entry": "a43ef3a35e29b66cdcb43c5598c9472a555ff7cf1e329ba47fcd2ece052f6b32",
     "pipeline-file": "e4b89d630b8ab3d1f002c8093ae80d3f5599dc6523c8259c21cfef1cc5c3af19",
     "pipeline-file-lag": "79c39653838c2e78493081f93f0e46f750de347f6430e8ba6c35222206e0c1a2",
@@ -117,6 +126,15 @@ def series_file(tmp_path_factory):
     return path
 
 
+@pytest.fixture(scope="module")
+def noise_file(tmp_path_factory):
+    # random.Random's stream is fixed across Python versions; numpy's Generator is not
+    draw = random.Random(20261018).random
+    path = tmp_path_factory.mktemp("golden") / "noise.csv"
+    om.dump_series(om.TimeSeries(np.array([draw() for _ in range(5000)]), dt=1.0), path)
+    return path
+
+
 def run_dir_sha256(run_dir: Path, input_path: Path | None = None) -> str:
     """One SHA-256 over every file of a run directory, names included."""
     digest = hashlib.sha256()
@@ -132,15 +150,17 @@ def run_dir_sha256(run_dir: Path, input_path: Path | None = None) -> str:
     return digest.hexdigest()
 
 
-def run_case(name: str, series_file: Path, out: Path) -> str:
-    argv = [str(series_file) if a == "FILE" else str(a) for a in CASES[name]]
+def run_case(name: str, series_file: Path, out: Path, noise_file: Path | None = None) -> str:
+    files = {"FILE": series_file, "NOISE": noise_file}
+    argv = [str(files.get(a, a)) for a in CASES[name]]
     assert cli.main(argv + ["--out-dir", str(out)]) == 0
-    return run_dir_sha256(out, series_file if "FILE" in CASES[name] else None)
+    used = [files[a] for a in CASES[name] if a in files]
+    return run_dir_sha256(out, used[0] if used else None)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_run_directory_bytes_are_pinned(name, series_file, tmp_path):
-    assert run_case(name, series_file, tmp_path / name) == GOLDEN[name]
+def test_run_directory_bytes_are_pinned(name, series_file, noise_file, tmp_path):
+    assert run_case(name, series_file, tmp_path / name, noise_file) == GOLDEN[name]
 
 
 @pytest.mark.parametrize("name", ["pipeline-file-lag", "pipeline-file-color-none"])

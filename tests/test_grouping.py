@@ -1,0 +1,72 @@
+"""Every consumer of the pattern grouping against the naive oracles.
+
+The series draw from four values, so ties are common, and cover m = 2..7
+with several tau and w.
+"""
+
+from collections import Counter
+import itertools
+
+import numpy as np
+import pytest
+
+import ordmaps as om
+import oracles
+
+
+def _cases(rng):
+    for m, tau, w in itertools.product(range(2, 8), (1, 3), (1, 2)):
+        for _ in range(2):
+            n = (m - 1) * tau + int(rng.integers(2, 300))
+            yield m, tau, w, rng.integers(0, 4, size=n).astype(float).tolist()
+
+
+def test_grouping_consumers_match_oracles(rng):
+    for m, tau, w, values in _cases(rng):
+        ts = om.TimeSeries(np.array(values), dt=1.0)
+        seq = om.symbolize(ts, om.WindowConfig(m=m, tau=tau, w=w))
+        symbols = oracles.symbolize(values, m, tau, w)
+        entries = oracles.entry_positions(symbols)
+
+        assert [s.perm for s in seq.symbols] == symbols
+        assert [(p.perm, c) for p, c in om.distinct_patterns(seq)] == sorted(Counter(symbols).items())
+
+        for p in seq.patterns:
+            assert om.entry_points(seq, p).tolist() == [k * w for k in entries if symbols[k] == p.perm]
+            sub = om.extract_subseries(ts, seq, p)
+            assert sub.samples.tolist() == [values[k * w] for k, s in enumerate(symbols) if s == p.perm]
+
+        if len(symbols) >= 2:
+            tc = om.build_opn(seq)
+            perms = [p.perm for p in tc.patterns]
+            got = {(perms[i], perms[j]): int(tc.counts[i, j]) for i, j in zip(*np.nonzero(tc.counts))}
+            assert got == oracles.pair_counts(symbols)
+
+        reports = om.analyze_partitions(ts, seq)
+        assert [(r.occurrence, r.entries) for r in reports] == [
+            (symbols.count(p.perm), sum(symbols[k] == p.perm for k in entries)) for p in seq.patterns
+        ]
+        level = {}
+        for r in reports:
+            level[r.pattern.perm] = r.transition_level = int(rng.integers(1, 4))
+        assert om.level_sequence(seq, reports).tolist() == [level[s] for s in symbols]
+        assert om.entry_level_sequence(seq, reports).tolist() == [level[symbols[k]] for k in entries]
+
+
+def test_absent_or_wrong_length_pattern_selects_nothing():
+    ts = om.TimeSeries(np.array([1.0, 2.0, 3.0, 4.0, 5.0]), dt=1.0)
+    seq = om.symbolize(ts, om.WindowConfig(m=3, tau=1))
+    for pattern in (om.OrdinalPattern((3, 2, 1)), om.OrdinalPattern((1, 2)), om.OrdinalPattern((1, 2, 3, 4))):
+        assert om.entry_points(seq, pattern).tolist() == []
+        with pytest.raises(om.PatternAbsentError, match=pattern.dashed()):
+            om.extract_subseries(ts, seq, pattern)
+        with pytest.raises(om.PatternAbsentError, match=pattern.dashed()):
+            om.weighted_entropies(ts, seq, pattern)
+
+
+def test_grouping_is_computed_once_and_cannot_go_stale():
+    seq = om.symbolize(om.TimeSeries(np.sin(np.arange(50.0)), dt=1.0), om.WindowConfig(m=3, tau=1))
+    assert seq.patterns is seq.patterns and seq.windows is seq.windows
+    assert np.concatenate(seq.windows).size == len(seq)
+    with pytest.raises(AttributeError):
+        seq.codes = seq.codes[:1]
