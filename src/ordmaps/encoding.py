@@ -143,7 +143,7 @@ def encode_perm_rows(rows: np.ndarray) -> np.ndarray:
     """Pack permutation rows into int64 keys preserving lexicographic order."""
     m = rows.shape[1]
     weights = (m + 1) ** np.arange(m - 1, -1, -1, dtype=np.int64)
-    return rows.astype(np.int64) @ weights
+    return rows.astype(np.int64, copy=False) @ weights
 
 
 def pattern_code(pattern: OrdinalPattern) -> int:
@@ -247,10 +247,10 @@ def symbolize(series: TimeSeries, cfg: WindowConfig | None = None) -> SymbolSequ
             f"need at least {cfg.span + 1} samples for m={cfg.m}, tau={cfg.tau}; got {n}"
         )
     count = window_count(n, cfg)
-    starts = np.arange(count, dtype=np.int64) * cfg.w
-    offsets = np.arange(cfg.m, dtype=np.int64) * cfg.tau
+    starts = np.arange(0, count * cfg.w, cfg.w, dtype=np.int64)
+    offsets = np.arange(0, cfg.span + 1, cfg.tau, dtype=np.int64)
     windows = series.samples[starts[:, None] + offsets[None, :]]
-    order = np.argsort(windows, axis=1, kind="stable")
+    order = windows.argsort(axis=1, kind="stable")
     codes = encode_perm_rows(order + 1)
     return SymbolSequence(codes=codes, start_indices=starts, source_len=n, config=cfg)
 

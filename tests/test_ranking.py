@@ -20,7 +20,7 @@ def _analyzed(values, m=2, tau=1, w=1):
 PI_DIGITS = [3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8, 9, 7, 9]
 
 
-def test_window_and_entry_totals_on_digit_series():
+def test_corpus_counts_on_digit_series():
     _, seq = _analyzed(PI_DIGITS)
     assert len(seq) == 14
     assert int(seq.entries.sum()) == seq.entry_count == 10
