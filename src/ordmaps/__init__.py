@@ -47,10 +47,9 @@ from .levels import (
     level_sequence,
 )
 from .network import (
-    MarkovEstimate,
     TransitionCounts,
     build_opn,
-    markov_estimate,
+    occupancy,
     permutation_entropy,
 )
 from .ranking import (
@@ -101,7 +100,6 @@ __all__ = [
     "LORENZ_EMBEDDING",
     "MackeyGlassParams",
     "MACKEY_GLASS_EMBEDDING",
-    "MarkovEstimate",
     "OrdinalPattern",
     "OrdmapsError",
     "ParseError",
@@ -145,8 +143,8 @@ __all__ = [
     "level_sequence",
     "load_series",
     "local_maxima_indices",
-    "markov_estimate",
     "maxima_frm",
+    "occupancy",
     "pattern_code",
     "pattern_of_window",
     "permutation_entropy",

@@ -63,7 +63,7 @@ from .exports import (
 )
 from .levels import build_level_network, entry_level_sequence, level_sequence
 from .manifest import TOOL_VERSION, canonical_json, load_manifest, manifest_digest, write_manifest
-from .network import build_opn, markov_estimate
+from .network import build_opn
 from .ranking import (
     LevelConfig,
     SubSeriesConfig,
@@ -308,12 +308,11 @@ def _analysis(series, run):
 def _write_analysis(writer, seq, reports):
     ranking = seq.config.ranking
     tc = build_opn(seq)
-    est = markov_estimate(tc)
     writer.emit("symbols.csv", lambda p: write_symbols_csv(seq, p))
     writer.emit("partitions.csv", lambda p: write_partitions_csv(reports, p, ranking))
     writer.emit("entropy_curve.csv", lambda p: write_entropy_curve_csv(reports, p, ranking))
     writer.emit("opn_edges.csv", lambda p: write_opn_edges_csv(tc, p, ranking))
-    writer.emit("opn_nodes.csv", lambda p: write_opn_nodes_csv(est, p, ranking))
+    writer.emit("opn_nodes.csv", lambda p: write_opn_nodes_csv(seq, p))
 
 
 def _frm_maps(series, run, seq=None, reports=None):
@@ -371,21 +370,8 @@ def _write_embedding(writer, series, run, seq, reports):
     if seq is None or run.color == "none":
         writer.emit("embedded.csv", lambda p: write_embedding_csv(points, p))
         return
-    shown = [display_pattern(pattern, seq.config.ranking).dashed() for pattern in seq.patterns]
-    lv = level_sequence(seq, reports, _LEVEL_ATTR[run.level_network["by"]])
-    pattern_col = [""] * len(points)
-    level_col = [""] * len(points)
-    entry_col = [0] * len(points)
-    inside = seq.start_indices < len(points)
-    columns = (seq.start_indices, seq.inverse, lv, seq.entries)
-    for k, i, level, entry in zip(*(col[inside].tolist() for col in columns)):
-        pattern_col[k] = shown[i]
-        level_col[k] = str(level)
-        entry_col[k] = int(entry)
-    writer.emit(
-        "embedded.csv",
-        lambda p: write_embedding_csv(points, p, pattern_col, level_col, entry_col),
-    )
+    levels = level_sequence(seq, reports, _LEVEL_ATTR[run.level_network["by"]])
+    writer.emit("embedded.csv", lambda p: write_embedding_csv(points, p, seq, levels))
 
 
 # ------------------------------------------------------------- runners

@@ -1,8 +1,11 @@
 """Deterministic CSV writers for every artifact the CLI emits.
 
-All files carry a header row, floats are rendered with 17 significant
-digits (round-trip exact for float64), patterns are dash-joined, and rows
-follow a fixed order, so identical inputs produce identical bytes.
+Every writer hands :func:`_write_columns` a header and one numpy array per
+column, and the column's dtype alone decides how its cells read: float64
+with 17 significant digits (round-trip exact), integers as decimals, and
+strings or objects as they are. A writer casts its bool columns to int, so
+they read 0/1. Patterns are dash-joined, every file carries a header row and
+rows follow a fixed order, so identical inputs produce identical bytes.
 """
 
 from __future__ import annotations
@@ -13,30 +16,40 @@ import numpy as np
 
 from .encoding import SymbolSequence, display_pattern
 from .levels import LevelNetwork
-from .network import MarkovEstimate, TransitionCounts
+from .network import TransitionCounts, occupancy
 from .ranking import PartitionReport, rank_partitions
 from .returnmaps import ReturnMap, diagonal_split, wing_split
-from .series import TimeSeries
+from .series import TimeSeries, dump_series
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.17g}"
+def _cells(column: np.ndarray) -> list[str]:
+    if column.dtype == np.float64:
+        return list(map("{:.17g}".format, column.tolist()))
+    if column.dtype.kind in "iu":
+        return list(map(str, column.tolist()))
+    return column.tolist()
 
 
-def _write_rows(path, header: list[str], rows) -> None:
+def _write_columns(path, header: list[str], columns: list[np.ndarray]) -> None:
+    """One header row, then row k of every column; columns must agree in length."""
     lines = [",".join(header)]
-    lines.extend(",".join(str(cell) for cell in row) for row in rows)
+    lines.extend(map(",".join, zip(*map(_cells, columns), strict=True)))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _shown(patterns, ranking: str) -> list[str]:
-    return [display_pattern(pattern, ranking).dashed() for pattern in patterns]
+def _shown(patterns, ranking: str) -> np.ndarray:
+    """The dashed display of each pattern, as an object array to index."""
+    shown = [display_pattern(pattern, ranking).dashed() for pattern in patterns]
+    return np.array(shown, dtype=object)
+
+
+def _report_column(reports: list[PartitionReport], attr: str, dtype) -> np.ndarray:
+    return np.array([getattr(r, attr) for r in reports], dtype=dtype)
 
 
 def write_symbols_csv(seq: SymbolSequence, path) -> None:
     shown = _shown(seq.patterns, seq.config.ranking)
-    rows = zip(seq.start_indices.tolist(), (shown[i] for i in seq.inverse.tolist()))
-    _write_rows(path, ["start_index", "pattern"], rows)
+    _write_columns(path, ["start_index", "pattern"], [seq.start_indices, shown[seq.inverse]])
 
 
 PARTITION_COLUMNS = [
@@ -46,68 +59,68 @@ PARTITION_COLUMNS = [
 
 
 def write_partitions_csv(reports: list[PartitionReport], path, ranking: str = "chronological") -> None:
-    rows = [
-        (
-            display_pattern(r.pattern, ranking).dashed(),
-            r.occurrence,
-            r.entries,
-            _fmt(r.occurrence_share),
-            _fmt(r.entry_share),
-            _fmt(r.entropy),
-            _fmt(r.weighted_entropy),
-            _fmt(r.transition_entropy),
-            r.weighted_level,
-            r.transition_level,
-            int(r.degenerate),
-        )
-        for r in sorted(reports, key=lambda r: r.pattern.perm)
-    ]
-    _write_rows(path, PARTITION_COLUMNS, rows)
+    reports = sorted(reports, key=lambda r: r.pattern.perm)
+    columns = [_shown((r.pattern for r in reports), ranking)]
+    for attr, dtype in (
+        ("occurrence", np.int64),
+        ("entries", np.int64),
+        ("occurrence_share", np.float64),
+        ("entry_share", np.float64),
+        ("entropy", np.float64),
+        ("weighted_entropy", np.float64),
+        ("transition_entropy", np.float64),
+        ("weighted_level", np.int64),
+        ("transition_level", np.int64),
+        ("degenerate", np.int64),
+    ):
+        columns.append(_report_column(reports, attr, dtype))
+    _write_columns(path, PARTITION_COLUMNS, columns)
 
 
 def write_entropy_curve_csv(reports: list[PartitionReport], path, ranking: str = "chronological") -> None:
     """Both weighted entropies ranked by the transition-weighted one."""
     ranked = rank_partitions(reports, by="transition_entropy")
-    rows = [
-        (
-            rank,
-            display_pattern(r.pattern, ranking).dashed(),
-            _fmt(r.transition_entropy),
-            _fmt(r.weighted_entropy),
-            r.transition_level,
-            r.weighted_level,
-        )
-        for rank, r in enumerate(ranked, start=1)
+    columns = [
+        np.arange(1, len(ranked) + 1),
+        _shown((r.pattern for r in ranked), ranking),
+        _report_column(ranked, "transition_entropy", np.float64),
+        _report_column(ranked, "weighted_entropy", np.float64),
+        _report_column(ranked, "transition_level", np.int64),
+        _report_column(ranked, "weighted_level", np.int64),
     ]
-    _write_rows(path, ["rank", "pattern", "h_wt", "h_w", "level_wt", "level_w"], rows)
+    _write_columns(path, ["rank", "pattern", "h_wt", "h_w", "level_wt", "level_w"], columns)
 
 
 def write_opn_edges_csv(tc: TransitionCounts, path, ranking: str = "chronological") -> None:
     """The non-zero edges in row-major order."""
     shown = _shown(tc.patterns, ranking)
-    rows = ((shown[i], shown[j], int(tc.counts[i, j])) for i, j in zip(*np.nonzero(tc.counts)))
-    _write_rows(path, ["from_pattern", "to_pattern", "count"], rows)
+    i, j = np.nonzero(tc.counts)
+    _write_columns(path, ["from_pattern", "to_pattern", "count"], [shown[i], shown[j], tc.counts[i, j]])
 
 
-def write_opn_nodes_csv(est: MarkovEstimate, path, ranking: str = "chronological") -> None:
-    rows = [
-        (display_pattern(p, ranking).dashed(), _fmt(occ))
-        for p, occ in zip(est.patterns, est.occupancy)
-    ]
-    _write_rows(path, ["pattern", "occupancy"], rows)
+def write_opn_nodes_csv(seq: SymbolSequence, path) -> None:
+    """The occupancy of every occurring pattern."""
+    shown = _shown(seq.patterns, seq.config.ranking)
+    _write_columns(path, ["pattern", "occupancy"], [shown, occupancy(seq)])
 
 
 def write_frm_csv(rm: ReturnMap, path) -> None:
     write_frm_combined_csv([rm], path)
 
 
+def _sources(rm: ReturnMap) -> np.ndarray:
+    if rm.entry_tags is None:
+        return np.full(len(rm), rm.source, dtype=object)
+    return np.array([f"{rm.source}:{tag}" for tag in rm.entry_tags[: len(rm)]], dtype=object)
+
+
 def write_frm_combined_csv(maps: list[ReturnMap], path) -> None:
-    rows = []
-    for rm in maps:
-        for k in range(len(rm)):
-            tag = rm.source if rm.entry_tags is None else f"{rm.source}:{rm.entry_tags[k]}"
-            rows.append((_fmt(rm.values[k]), _fmt(rm.values[k + 1]), tag))
-    _write_rows(path, ["v", "v_next", "source"], rows)
+    columns = [
+        np.concatenate([np.empty(0), *(rm.values[:-1] for rm in maps)]),
+        np.concatenate([np.empty(0), *(rm.values[1:] for rm in maps)]),
+        np.concatenate([np.empty(0, dtype=object), *map(_sources, maps)]),
+    ]
+    _write_columns(path, ["v", "v_next", "source"], columns)
 
 
 def diagonal_summary(maps: list[ReturnMap]) -> dict:
@@ -128,42 +141,40 @@ def diagonal_summary(maps: list[ReturnMap]) -> dict:
 
 
 def write_level_sequence_csv(seq: SymbolSequence, level_seq: np.ndarray, path) -> None:
-    rows = zip((int(s) for s in seq.start_indices), (int(v) for v in level_seq))
-    _write_rows(path, ["start_index", "level"], rows)
+    _write_columns(path, ["start_index", "level"], [seq.start_indices, np.asarray(level_seq)])
 
 
 def write_level_network_csv(net: LevelNetwork, path) -> None:
-    rows = [
-        (a, b, net.weight(a, b))
-        for a in range(1, net.levels + 1)
-        for b in range(1, net.levels + 1)
-    ]
-    _write_rows(path, ["from_level", "to_level", "weight"], rows)
+    """Every (from, to) pair of levels in row-major order, zero weights included."""
+    from_level, to_level = np.indices(net.weights.shape).reshape(2, -1) + 1
+    _write_columns(path, ["from_level", "to_level", "weight"], [from_level, to_level, net.weights.ravel()])
 
 
-def write_embedding_csv(
-    points: np.ndarray,
-    path,
-    pattern_col: list[str] | None = None,
-    level_col: list[int] | None = None,
-    entry_col: list[int] | None = None,
-) -> None:
-    dim = points.shape[1]
-    header = [f"x{j}" for j in range(dim)]
-    extras = []
-    for name, col in (("pattern", pattern_col), ("level", level_col), ("is_entry", entry_col)):
-        if col is not None:
-            header.append(name)
-            extras.append(col)
-    rows = []
-    for k in range(points.shape[0]):
-        row = [_fmt(v) for v in points[k]]
-        row.extend(str(col[k]) for col in extras)
-        rows.append(row)
-    _write_rows(path, header, rows)
+def write_embedding_csv(points: np.ndarray, path, seq: SymbolSequence | None = None, levels=None) -> None:
+    """Embedded points, coloured by the windows of seq when it is given.
+
+    Point k takes the pattern, the level (``levels`` holds one per window)
+    and the entry flag of the window starting at sample k; points where no
+    window starts get an empty pattern and level and entry flag 0.
+    """
+    header = [f"x{j}" for j in range(points.shape[1])]
+    columns = list(points.T)
+    if seq is not None:
+        levels = np.asarray(levels)
+        if levels.shape != (len(seq),):
+            raise ValueError(f"levels must hold one label per window ({len(seq)}), got shape {levels.shape}")
+        inside = seq.start_indices < len(points)
+        starts = seq.start_indices[inside]
+        pattern = np.full(len(points), "", dtype=object)
+        pattern[starts] = _shown(seq.patterns, seq.config.ranking)[seq.inverse[inside]]
+        level = np.full(len(points), "", dtype=object)
+        level[starts] = list(map(str, levels[inside].tolist()))
+        is_entry = np.zeros(len(points), dtype=np.int64)
+        is_entry[starts] = seq.entries[inside]
+        header += ["pattern", "level", "is_entry"]
+        columns += [pattern, level, is_entry]
+    _write_columns(path, header, columns)
 
 
 def write_series_csv(series: TimeSeries, path) -> None:
-    from .series import dump_series
-
     dump_series(series, path)

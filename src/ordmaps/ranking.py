@@ -16,7 +16,7 @@ variants rescale it by coverage shares:
     weighted entropy             h_w  = -sum_i K  * p_i * (log2 p_i + log2 K)
     transition-weighted entropy  h_wt = -sum_i K^ * p_i * (log2 p_i + log2 K^)
 
-where p_i is the occupancy distribution of the sub-series network. An
+where p_i is the occupancy distribution of the sub-series symbols. An
 entrance is a window whose pattern differs from its predecessor's; the
 first window counts. The formulas are applied literally; contributions
 are not clamped even where a term goes negative.
@@ -39,7 +39,7 @@ import numpy as np
 
 from .encoding import OrdinalPattern, SymbolSequence, WindowConfig, symbolize
 from .errors import ConfigError, PatternAbsentError
-from .network import build_opn, markov_estimate, permutation_entropy
+from .network import occupancy, permutation_entropy
 from .series import TimeSeries
 
 
@@ -135,9 +135,9 @@ def weighted_entropies(
         h = h_w = h_wt = 0.0
         degenerate = True
     else:
-        est = markov_estimate(build_opn(symbolize(sub, sub_cfg.window())))
-        h = permutation_entropy(est)
-        p = est.occupancy[est.occupancy > 0.0]
+        occ = occupancy(symbolize(sub, sub_cfg.window()))
+        h = permutation_entropy(occ)
+        p = occ[occ > 0.0]
         h_w = float(-(share * p * (np.log2(p) + math.log2(share))).sum()) + 0.0
         h_wt = float(-(entry_share * p * (np.log2(p) + math.log2(entry_share))).sum()) + 0.0
         degenerate = False

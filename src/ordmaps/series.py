@@ -114,7 +114,7 @@ def load_series(path, format: str = "csv", dt: float | None = None) -> TimeSerie
 def dump_series(series: TimeSeries, path) -> None:
     """Write the canonical single-column form read back by :func:`load_series`."""
     lines = [f"# dt={series.dt:.17g}", "x"]
-    lines.extend(f"{v:.17g}" for v in series.samples)
+    lines.extend(map("{:.17g}".format, series.samples.tolist()))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

@@ -116,8 +116,7 @@ def test_c02_entropy_matches_shannon_oracle(rng):
             source_len=n + 2,
             config=om.WindowConfig(m=3, tau=1, w=1),
         )
-        est = om.markov_estimate(om.build_opn(seq))
-        got = om.permutation_entropy(est)
+        got = om.permutation_entropy(om.occupancy(seq))
         perms = [om.decode_pattern(int(c), 3).perm for c in codes]
         want = oracles.shannon(oracles.occupancy_probs(perms).values())
         worst = max(worst, abs(got - want))

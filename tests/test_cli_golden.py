@@ -66,6 +66,7 @@ CASES = {
     "embed-level": ["embed", "FILE", "--dim", 3, "--lag", 9, "--color", "level"],
     "embed-none": ["embed", "FILE", "--dim", 2, "--lag", 6, "--color", "none"],
     "embed-tau": ["embed", "FILE", "--dim", 2, "--lag", 5, "--tau", 4, "--color", "level"],
+    "embed-amplitude-w2": ["embed", "FILE", "--dim", 3, "--lag", 9, "--w", 2, "--ranking", "amplitude"],
     "pipeline-file": ["pipeline", "FILE"],
     "pipeline-file-lag": ["pipeline", "FILE", "--lag", 6, "--m", 5, "--per-entry", "--sign-split"],
     "pipeline-file-color-none": ["pipeline", "FILE", "--color", "none"],
@@ -87,6 +88,7 @@ GOLDEN = {
     "analyze-noise-m6": "e71fb5d8254623ebcbaf1541cce5fe696f82d910940b752f335bdadf0b503efb",
     "analyze-flags": "d63a0f883b9fd6af650d188680eb6ec87cec8e792d376c4bf9320501df69383f",
     "analyze-whitespace": "fe003c22819963ccdfb070ad8420c117998da8974fb27b5daffad7d7a673c428",
+    "embed-amplitude-w2": "69691aa376c7b1dc49d7afde4d0bd1fc332d5d5573555e144c4796d82a0c811d",
     "embed-level": "ce5846b0fce195a93f8c8a80fb9b7ecf668c2baf9ee67b3335ef39c62611ebba",
     "embed-none": "a35099773073da1c1bdbc58ca6b6b20616cb9e21c0bb9a371624c5c179d72390",
     "embed-noise-m5": "bf17d7f6fe8b81e6feab7c7bbf4a13bd99b11a5e0bf74696348557e764a62de1",

@@ -65,11 +65,10 @@ def test_write_entropy_curve_ranked(tmp_path):
 def test_write_opn_files(tmp_path):
     _, seq = _analyzed([1, 2, 1, 2, 3])
     tc = om.build_opn(seq)
-    est = om.markov_estimate(tc)
     edges = tmp_path / "edges.csv"
     nodes = tmp_path / "nodes.csv"
     exports.write_opn_edges_csv(tc, edges)
-    exports.write_opn_nodes_csv(est, nodes)
+    exports.write_opn_nodes_csv(seq, nodes)
     edge_lines = edges.read_text().splitlines()
     assert edge_lines[0] == "from_pattern,to_pattern,count"
     # zero-count edges are omitted: 2-1 -> 2-1 never happens
@@ -137,19 +136,35 @@ def test_write_level_files(tmp_path):
     assert lines[3] == "2,2"
 
 
+def _embedded(values, w):
+    ts = om.TimeSeries(np.asarray(values, dtype=float), dt=1.0)
+    seq = om.symbolize(ts, om.WindowConfig(m=2, tau=1, w=w))
+    return om.delay_embed(ts, om.EmbeddingConfig(dim=2, lag=1)), seq
+
+
 def test_write_embedding_csv_columns(tmp_path):
-    pts = np.array([[1.0, 2.0], [3.0, 4.0]])
+    # windows start at 0, 2, 4 with patterns 1-2, 1-2, 2-1; point 5 lies past the last one
+    pts, seq = _embedded([1, 2, 1, 2, 3, 2, 1], w=2)
     path = tmp_path / "embed.csv"
     exports.write_embedding_csv(pts, path)
-    assert path.read_text().splitlines()[0] == "x0,x1"
+    assert path.read_text().splitlines() == ["x0,x1", "1,2", "2,1", "1,2", "2,3", "3,2", "2,1"]
 
-    exports.write_embedding_csv(
-        pts, path, pattern_col=["1-2", "2-1"], level_col=[1, 2], entry_col=[1, 0]
-    )
-    lines = path.read_text().splitlines()
-    assert lines[0] == "x0,x1,pattern,level,is_entry"
-    assert lines[1] == "1,2,1-2,1,1"
-    assert lines[2] == "3,4,2-1,2,0"
+    exports.write_embedding_csv(pts, path, seq, np.array([1, 1, 2]))
+    assert path.read_text().splitlines() == [
+        "x0,x1,pattern,level,is_entry",
+        "1,2,1-2,1,1",
+        "2,1,,,0",
+        "1,2,1-2,1,0",
+        "2,3,,,0",
+        "3,2,2-1,2,1",
+        "2,1,,,0",
+    ]
+
+
+def test_write_embedding_csv_rejects_levels_of_wrong_length(tmp_path):
+    pts, seq = _embedded([1, 2, 1, 2, 3, 2, 1], w=2)
+    with pytest.raises(ValueError, match="one label per window"):
+        exports.write_embedding_csv(pts, tmp_path / "embed.csv", seq, np.array([1, 1]))
 
 
 def test_write_series_round_trip(tmp_path):

@@ -17,11 +17,7 @@ def test_build_opn_hand_case():
     assert [p.perm for p in tc.patterns] == [(1, 2), (2, 1)]
     assert tc.counts.tolist() == [[1, 1], [1, 0]]
     assert tc.total() == 3
-
-    est = om.markov_estimate(tc)
-    assert est.occupancy.tolist() == pytest.approx([2 / 3, 1 / 3])
-    assert est.row_stochastic.tolist() == [[0.5, 0.5], [1.0, 0.0]]
-    assert est.zero_rows.tolist() == [False, False]
+    assert om.occupancy(seq).tolist() == pytest.approx([2 / 3, 1 / 3])
 
 
 def test_self_loops_are_counted():
@@ -31,15 +27,12 @@ def test_self_loops_are_counted():
     assert tc.counts.tolist() == [[2]]
 
 
-def test_zero_row_is_flagged_not_an_error():
-    # last symbol (1,2)->... wait: values 3 2 1 2 give symbols (2,1) (2,1) (1,2);
-    # pattern (1,2) never transitions out
+def test_pattern_seen_only_last_has_zero_occupancy():
+    # values 3 2 1 2 give symbols (2,1) (2,1) (1,2); (1,2) never transitions out
     seq = _seq_from_values([3.0, 2.0, 1.0, 2.0])
-    tc = om.build_opn(seq)
-    est = om.markov_estimate(tc)
-    idx = [p.perm for p in tc.patterns].index((1, 2))
-    assert bool(est.zero_rows[idx])
-    assert est.row_stochastic[idx].tolist() == [0.0, 0.0]
+    assert [p.perm for p in seq.patterns] == [(1, 2), (2, 1)]
+    assert om.occupancy(seq).tolist() == [0.0, 1.0]
+    assert om.build_opn(seq).counts.tolist() == [[0, 0], [1, 1]]
 
 
 def test_entropy_matches_oracle_on_random_sequences(rng):
@@ -50,8 +43,7 @@ def test_entropy_matches_oracle_on_random_sequences(rng):
         if oracles.window_count(n, m, 1, 1) < 2:
             continue
         seq = _seq_from_values(values, m=m)
-        est = om.markov_estimate(om.build_opn(seq))
-        got = om.permutation_entropy(est)
+        got = om.permutation_entropy(om.occupancy(seq))
 
         perms = oracles.symbolize(values, m, 1, 1, "chronological")
         probs = oracles.occupancy_probs(perms)
@@ -62,10 +54,11 @@ def test_single_symbol_sequence_is_too_short():
     seq = _seq_from_values([1.0, 2.0])
     with pytest.raises(om.TooShortError):
         om.build_opn(seq)
+    with pytest.raises(om.TooShortError):
+        om.occupancy(seq)
 
 
 def test_entropy_of_deterministic_cycle_is_positive():
     seq = _seq_from_values([1.0, 2.0, 1.0, 2.0, 1.0, 2.0])
-    est = om.markov_estimate(om.build_opn(seq))
     # two patterns, equal occupancy -> 1 bit
-    assert om.permutation_entropy(est) == pytest.approx(1.0)
+    assert om.permutation_entropy(om.occupancy(seq)) == pytest.approx(1.0)
