@@ -94,8 +94,7 @@ def write_entropy_curve_csv(reports: list[PartitionReport], path, ranking: str =
 def write_opn_edges_csv(tc: TransitionCounts, path, ranking: str = "chronological") -> None:
     """The non-zero edges in row-major order."""
     shown = _shown(tc.patterns, ranking)
-    i, j = np.nonzero(tc.counts)
-    _write_columns(path, ["from_pattern", "to_pattern", "count"], [shown[i], shown[j], tc.counts[i, j]])
+    _write_columns(path, ["from_pattern", "to_pattern", "count"], [shown[tc.source], shown[tc.target], tc.count])
 
 
 def write_opn_nodes_csv(seq: SymbolSequence, path) -> None:

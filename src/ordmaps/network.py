@@ -3,7 +3,10 @@ r"""Ordinal partition network and the permutation entropy of its occupancy.
 The network is a directed weighted graph over the patterns that actually
 occur. Edge count a[i, j] is the number of consecutive window pairs whose
 symbols go from pattern i to pattern j, self-loops included, so the counts
-total one less than the number of symbols.
+total one less than the number of symbols. Only the non-zero edges are
+stored, as parallel arrays in row-major order: n symbols make at most n - 1
+of them, while a P x P matrix would grow with the square of the number P of
+distinct patterns.
 
 The occupancy of pattern i is its row-sum share
 
@@ -28,13 +31,15 @@ from .errors import TooShortError
 
 @dataclass(eq=False)
 class TransitionCounts:
-    """Adjacency counts over occurring patterns, lexicographically ordered."""
+    """Edge k goes ``count[k]`` times from ``patterns[source[k]]`` to ``patterns[target[k]]``, row-major."""
 
     patterns: list[OrdinalPattern]
-    counts: np.ndarray
+    source: np.ndarray
+    target: np.ndarray
+    count: np.ndarray
 
     def total(self) -> int:
-        return int(self.counts.sum())
+        return int(self.count.sum())
 
 
 def _check_transitions(seq: SymbolSequence) -> None:
@@ -46,9 +51,8 @@ def build_opn(seq: SymbolSequence) -> TransitionCounts:
     """Count consecutive symbol transitions, self-loops included."""
     _check_transitions(seq)
     k = len(seq.patterns)
-    pair_keys = seq.inverse[:-1] * k + seq.inverse[1:]
-    counts = np.bincount(pair_keys, minlength=k * k).reshape(k, k)
-    return TransitionCounts(patterns=list(seq.patterns), counts=counts)
+    edges, count = np.unique(seq.inverse[:-1] * k + seq.inverse[1:], return_counts=True)
+    return TransitionCounts(list(seq.patterns), edges // k, edges % k, count)
 
 
 def occupancy(seq: SymbolSequence) -> np.ndarray:

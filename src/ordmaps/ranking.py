@@ -24,6 +24,13 @@ are not clamped even where a term goes negative.
 Partitions whose sub-series cannot host two secondary windows are flagged
 degenerate and given zero entropies.
 
+Every partition is measured in one pass. The sub-series are laid end to end
+in pattern order and symbolized once with a slide of 1. A secondary window
+counts for its partition when it starts in phase with the sub-series' own
+slide w and the next in-phase window still ends inside that sub-series: the
+last window is left out, as p_i is the row-sum occupancy (see ``network``).
+Windows that straddle two sub-series never count.
+
 Sorting partitions by a weighted entropy typically shows plateaus
 separated by sharp drops. :func:`detect_levels` formalizes that: split the
 descending list at the largest consecutive gaps exceeding
@@ -33,13 +40,12 @@ descending list at the largest consecutive gaps exceeding
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .encoding import OrdinalPattern, SymbolSequence, WindowConfig, symbolize
 from .errors import ConfigError, PatternAbsentError
-from .network import occupancy, permutation_entropy
 from .series import TimeSeries
 
 
@@ -112,10 +118,50 @@ def extract_subseries(
 
     The gaps between visits are spliced out, so dt is only nominal.
     """
+    return TimeSeries(series.samples[seq.start_indices[_occurring_windows(seq, pattern)]], series.dt)
+
+
+def _occurring_windows(seq: SymbolSequence, pattern: OrdinalPattern) -> np.ndarray:
     windows = seq.windows_of(pattern)
     if not windows.size:
         raise PatternAbsentError(f"pattern {pattern.dashed()} does not occur")
-    return TimeSeries(series.samples[seq.start_indices[windows]], series.dt)
+    return windows
+
+
+def _measure(series: TimeSeries, seq: SymbolSequence, patterns, groups, sub_cfg) -> list[PartitionReport]:
+    """Report on the partitions whose window indices are ``groups``, all in one pass."""
+    sub_cfg = sub_cfg or SubSeriesConfig()
+    order = np.concatenate(groups)
+    occurrence = np.array([len(g) for g in groups])
+    owner = np.repeat(np.arange(len(groups)), occurrence)
+    offset = np.arange(len(order)) - np.repeat(np.cumsum(occurrence) - occurrence, occurrence)
+    span = sub_cfg.window().span
+    counted = (offset % sub_cfg.w == 0) & (offset + span + sub_cfg.w < occurrence[owner])
+    entered = seq.entries[order]
+    entries = np.bincount(owner[entered], minlength=len(groups))
+    shares = np.array([occurrence / len(seq), entries / seq.entry_count])
+    sums = np.zeros((len(groups), 3))
+    if counted.any():
+        sub = TimeSeries(series.samples[seq.start_indices[order]], series.dt)
+        codes = symbolize(sub, replace(sub_cfg.window(), w=1)).codes[counted[: len(order) - span]]
+        secondary, dense = np.unique(codes, return_inverse=True)
+        pair, count = np.unique(owner[counted] * len(secondary) + dense, return_counts=True)
+        row = pair // len(secondary)  # pairs sorted by partition, then by secondary pattern
+        p = count / np.bincount(owner[counted])[row]
+        log_p = np.log2(p)
+        # math.log2 of each share, and a numpy sum over each partition's own
+        # terms, round exactly as the one-partition formulas do
+        log_shares = np.array([[math.log2(k) for k in ks] for ks in shares.tolist()])
+        terms = np.stack([p * log_p, *(k[row] * p * (log_p + log_k[row]) for k, log_k in zip(shares, log_shares))])
+        blocks = np.split(terms, np.cumsum(np.bincount(row, minlength=len(groups)))[:-1], axis=1)
+        sums = np.array([block.sum(axis=1) for block in blocks])
+    entry_indices = np.split(seq.start_indices[order[entered]], np.cumsum(entries)[:-1])
+    return [
+        PartitionReport(pattern, o, e, k, k_hat, h, h_w, h_wt, idx, o < sub_cfg.min_samples())
+        for pattern, o, e, k, k_hat, (h, h_w, h_wt), idx in zip(
+            patterns, occurrence.tolist(), entries.tolist(), *shares.tolist(), (-sums + 0.0).tolist(), entry_indices
+        )
+    ]
 
 
 def weighted_entropies(
@@ -125,34 +171,7 @@ def weighted_entropies(
     sub_cfg: SubSeriesConfig | None = None,
 ) -> PartitionReport:
     """Measure one partition: shares, sub-series entropy, weighted variants."""
-    sub_cfg = sub_cfg or SubSeriesConfig()
-    sub = extract_subseries(series, seq, pattern)
-    occurrence = len(sub)  # one sample per window carrying the pattern
-    entry_idx = entry_points(seq, pattern)
-    share = occurrence / len(seq)
-    entry_share = len(entry_idx) / seq.entry_count
-    if occurrence < sub_cfg.min_samples():
-        h = h_w = h_wt = 0.0
-        degenerate = True
-    else:
-        occ = occupancy(symbolize(sub, sub_cfg.window()))
-        h = permutation_entropy(occ)
-        p = occ[occ > 0.0]
-        h_w = float(-(share * p * (np.log2(p) + math.log2(share))).sum()) + 0.0
-        h_wt = float(-(entry_share * p * (np.log2(p) + math.log2(entry_share))).sum()) + 0.0
-        degenerate = False
-    return PartitionReport(
-        pattern=pattern,
-        occurrence=occurrence,
-        entries=len(entry_idx),
-        occurrence_share=share,
-        entry_share=entry_share,
-        entropy=h,
-        weighted_entropy=h_w,
-        transition_entropy=h_wt,
-        entry_indices=entry_idx,
-        degenerate=degenerate,
-    )
+    return _measure(series, seq, [pattern], [_occurring_windows(seq, pattern)], sub_cfg)[0]
 
 
 RANK_KEYS = ("weighted_entropy", "transition_entropy")
@@ -214,5 +233,4 @@ def analyze_partitions(
     levels: LevelConfig | None = None,
 ) -> list[PartitionReport]:
     """Report on every occurring partition, levels assigned, in pattern order."""
-    reports = [weighted_entropies(series, seq, pattern, sub_cfg) for pattern in seq.patterns]
-    return assign_levels(reports, levels)
+    return assign_levels(_measure(series, seq, seq.patterns, seq.windows, sub_cfg), levels)

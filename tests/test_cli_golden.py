@@ -78,6 +78,8 @@ CASES = {
         "--by", "weighted", "--frm-level", 2,
     ],
     "analyze-noise-m6": ["analyze", "NOISE", "--m", 6, "--tau", 1, "--ranking", "amplitude"],
+    # 120 partitions, none degenerate, most with entropy sums of more than 8 terms
+    "analyze-noise-sub": ["analyze", "NOISE", "--m", 5, "--tau", 1, "--sub-m", 4, "--sub-tau", 2, "--sub-w", 2],
     "levels-noise-m6": ["levels", "NOISE", "--m", 6, "--tau", 1, "--per-entry"],
     "embed-noise-m5": ["embed", "NOISE", "--m", 5, "--tau", 1, "--dim", 3, "--lag", 2, "--color", "level"],
 }
@@ -85,6 +87,7 @@ CASES = {
 GOLDEN = {
     "analyze": "4d1a633871faa43bdabd88b76ba9f3870c2584d6842dd5a7a33c84154e7ad460",
     "analyze-amplitude": "486b24e6a762627196f57f06ac54e6945fcb7be9cc81053eb6389f319db23298",
+    "analyze-noise-sub": "ae13563c306c7f9c0d63d0ea8dc759eafa94b5843caea13a23ab6205b481e60f",
     "analyze-noise-m6": "e71fb5d8254623ebcbaf1541cce5fe696f82d910940b752f335bdadf0b503efb",
     "analyze-flags": "d63a0f883b9fd6af650d188680eb6ec87cec8e792d376c4bf9320501df69383f",
     "analyze-whitespace": "fe003c22819963ccdfb070ad8420c117998da8974fb27b5daffad7d7a673c428",

@@ -1,10 +1,12 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 import ordmaps as om
-from ordmaps.ranking import rank_partitions
+from ordmaps import ranking
+from ordmaps.ranking import LEVEL_KEYS, rank_partitions
 import oracles
 
 
@@ -233,6 +235,59 @@ def test_analyze_partitions_order_and_share_sums(rng):
         for r in reports:
             assert r.entries <= r.occurrence
             assert r.entries >= 1
+
+
+def _oracle_partition(values, symbols, perm, w, sub):
+    """(h, h_w, h_wt, degenerate, entry indices) of one partition, by the formulas."""
+    entries = oracles.entry_positions(symbols)
+    mine = [k * w for k in entries if symbols[k] == perm]
+    subseries = [values[k * w] for k, s in enumerate(symbols) if s == perm]
+    if oracles.window_count(len(subseries), sub.m, sub.tau, sub.w) < 2:
+        return 0.0, 0.0, 0.0, True, mine
+    probs = oracles.occupancy_probs(oracles.symbolize(subseries, sub.m, sub.tau, sub.w)).values()
+    share, entry_share = symbols.count(perm) / len(symbols), len(mine) / len(entries)
+    return oracles.shannon(probs), oracles.weighted(probs, share), oracles.weighted(probs, entry_share), False, mine
+
+
+def test_every_partition_matches_oracle_on_secondary_window_grid(rng, monkeypatch):
+    calls = []
+    monkeypatch.setattr(ranking, "symbolize", lambda *a: calls.append(a) or om.symbolize(*a))
+    one_window = 0
+    for m, sub_m, sub_tau, sub_w in itertools.product(range(3, 8), (2, 3, 4), (1, 2), (1, 2, 3)):
+        values = rng.integers(0, 4, size=int(rng.integers(150, 400))).astype(float).tolist()
+        w = int(rng.integers(1, 3))
+        ts, seq = _analyzed(values, m=m, w=w)
+        sub = om.SubSeriesConfig(m=sub_m, tau=sub_tau, w=sub_w)
+        symbols = [s.perm for s in seq.symbols]
+        calls.clear()
+        reports = om.analyze_partitions(ts, seq, sub)
+        assert len(calls) <= 1
+        for r in reports:
+            h, h_w, h_wt, degenerate, entry_indices = _oracle_partition(values, symbols, r.pattern.perm, w, sub)
+            assert (r.degenerate, r.entry_indices.tolist()) == (degenerate, entry_indices)
+            assert r.degenerate == (r.occurrence < sub.min_samples())
+            assert [r.entropy, r.weighted_entropy, r.transition_entropy] == pytest.approx([h, h_w, h_wt], abs=1e-12)
+            one_window += oracles.window_count(r.occurrence, sub_m, sub_tau, sub_w) == 1
+        for r in reports[:: max(1, len(reports) // 5)]:
+            single = om.weighted_entropies(ts, seq, r.pattern, sub)
+            for name, value in vars(r).items():
+                if name == "entry_indices":
+                    assert np.array_equal(getattr(single, name), value)
+                elif name not in LEVEL_KEYS:
+                    assert getattr(single, name) == value, name  # bitwise, not approximately
+    assert one_window > 0  # some partitions host exactly one secondary window
+
+
+def test_all_degenerate_partitions_symbolize_nothing(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("no sub-series can host two secondary windows")
+
+    monkeypatch.setattr(ranking, "symbolize", refuse)
+    ts, seq = _analyzed([0, 3, 1, 2, 2, 0, 3, 1, 0, 2, 3], m=3)
+    reports = om.analyze_partitions(ts, seq)
+    assert reports and all(r.degenerate and r.occurrence < 4 for r in reports)
+    assert {(r.entropy, r.weighted_entropy, r.transition_entropy) for r in reports} == {(0.0, 0.0, 0.0)}
+    assert sum(r.entries for r in reports) == seq.entry_count
 
 
 def test_level_config_holds_detector_defaults_and_checks():
