@@ -10,8 +10,6 @@ rows follow a fixed order, so identical inputs produce identical bytes.
 
 from __future__ import annotations
 
-from pathlib import Path
-
 import numpy as np
 
 from .encoding import SymbolSequence, display_pattern
@@ -22,19 +20,21 @@ from .returnmaps import ReturnMap, diagonal_split, wing_split
 from .series import TimeSeries, dump_series
 
 
-def _cells(column: np.ndarray) -> list[str]:
+def _cells(column: np.ndarray):
     if column.dtype == np.float64:
-        return list(map("{:.17g}".format, column.tolist()))
+        return map("{:.17g}".format, column.tolist())
     if column.dtype.kind in "iu":
-        return list(map(str, column.tolist()))
+        return map(str, column.tolist())
     return column.tolist()
 
 
 def _write_columns(path, header: list[str], columns: list[np.ndarray]) -> None:
-    """One header row, then row k of every column; columns must agree in length."""
-    lines = [",".join(header)]
-    lines.extend(map(",".join, zip(*map(_cells, columns), strict=True)))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    """One header row, then row k of every column, streamed; lengths must agree."""
+    if len({len(column) for column in columns}) > 1:
+        raise ValueError(f"columns differ in length: {sorted(map(len, columns))}")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(",".join(row) + "\n" for row in zip(*map(_cells, columns)))
 
 
 def _shown(patterns, ranking: str) -> np.ndarray:

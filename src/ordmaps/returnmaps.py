@@ -105,13 +105,7 @@ def maxima_frm(series: TimeSeries, sign_split: bool = False) -> ReturnMap:
 
 def diagonal_split(rm: ReturnMap) -> DiagonalSplit:
     """Count pairs above, below and exactly on the identity diagonal."""
-    first = rm.values[:-1]
-    second = rm.values[1:]
-    return DiagonalSplit(
-        above_count=int((second > first).sum()),
-        below_count=int((second < first).sum()),
-        on_count=int((second == first).sum()),
-    )
+    return _split(rm.values[1:], rm.values[:-1])
 
 
 def wing_split(rm: ReturnMap, center: float = 0.0) -> DiagonalSplit:
@@ -124,10 +118,12 @@ def wing_split(rm: ReturnMap, center: float = 0.0) -> DiagonalSplit:
     one just below may belong to the same lobe), so lobe membership gets
     its own split. above_count holds the high-amplitude side.
     """
-    s = rm.values[:-1] + rm.values[1:]
-    ref = 2.0 * center
+    return _split(rm.values[:-1] + rm.values[1:], 2.0 * center)
+
+
+def _split(a, b) -> DiagonalSplit:
     return DiagonalSplit(
-        above_count=int((s > ref).sum()),
-        below_count=int((s < ref).sum()),
-        on_count=int((s == ref).sum()),
+        above_count=int((a > b).sum()),
+        below_count=int((a < b).sum()),
+        on_count=int((a == b).sum()),
     )

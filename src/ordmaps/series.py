@@ -113,9 +113,9 @@ def load_series(path, format: str = "csv", dt: float | None = None) -> TimeSerie
 
 def dump_series(series: TimeSeries, path) -> None:
     """Write the canonical single-column form read back by :func:`load_series`."""
-    lines = [f"# dt={series.dt:.17g}", "x"]
-    lines.extend(map("{:.17g}".format, series.samples.tolist()))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"# dt={series.dt:.17g}\nx\n")
+        fh.writelines(map("{:.17g}\n".format, series.samples.tolist()))
 
 
 def series_sha256(series: TimeSeries) -> str:

@@ -6,16 +6,20 @@ from the integration history at exact grid offsets; half-step stage
 evaluations interpolate linearly between the two straddling grid values,
 so the delay must be an integer multiple of the step size.
 
-All generators are bit-reproducible: the same configuration yields the
-same float64 output on every run. The leading ``discard_fraction`` of the
-trajectory is dropped as transient and only the tail is returned.
+Each system is a stream of states, one per grid point. The leading
+``discard_fraction`` is dropped as transient without being stored, and
+only the kept tail is stored, plus the d+1 past values that the
+Mackey-Glass delayed term reads. The same configuration yields the same
+float64 output on every run.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 import numpy as np
 
@@ -80,6 +84,8 @@ class SimulationConfig:
             )
         if self.seed is not None and self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
+        if (keep := kept_points(self)) < 2:
+            raise ConfigError(f"only {keep} points kept after discarding; need at least 2")
 
 
 def kept_points(cfg: SimulationConfig) -> int:
@@ -108,14 +114,12 @@ def _initial_state_3d(cfg: SimulationConfig) -> tuple[float, float, float]:
     return float(x), float(y), float(z)
 
 
-def _finish(xs: list[float], cfg: SimulationConfig) -> TimeSeries:
+def _tail(states, cfg: SimulationConfig) -> TimeSeries:
+    """The kept tail of a stream of total_points states; the transient is never stored."""
     keep = kept_points(cfg)
-    if keep < 2:
-        raise ConfigError(
-            f"only {keep} points kept after discarding; need at least 2"
-        )
     dropped = cfg.total_points - keep
-    return TimeSeries(np.asarray(xs[dropped:]), cfg.dt, origin_time=dropped * cfg.dt)
+    deque(islice(states, dropped), maxlen=0)
+    return TimeSeries(np.fromiter(states, np.float64, count=keep), cfg.dt, origin_time=dropped * cfg.dt)
 
 
 def integrate_lorenz(
@@ -124,12 +128,16 @@ def integrate_lorenz(
     """x-coordinate of the Lorenz flow under fixed-step RK4."""
     params = params or LorenzParams()
     cfg = cfg or SimulationConfig()
+    return _tail(_lorenz(params, _initial_state_3d(cfg), cfg), cfg)
+
+
+def _lorenz(params: LorenzParams, state, cfg: SimulationConfig):
     sigma, rho, beta = params.sigma, params.rho, params.beta
-    x, y, z = _initial_state_3d(cfg)
+    x, y, z = state
     dt = cfg.dt
     half, sixth = 0.5 * dt, dt / 6.0
     isfinite = math.isfinite
-    xs = [x]
+    yield x
     for step in range(1, cfg.total_points):
         k1x = sigma * (y - x)
         k1y = x * (rho - z) - y
@@ -151,8 +159,7 @@ def integrate_lorenz(
         z += sixth * (k1z + 2.0 * (k2z + k3z) + k4z)
         if not isfinite(x + y + z):
             raise DivergenceError("lorenz state became non-finite", step=step)
-        xs.append(x)
-    return _finish(xs, cfg)
+        yield x
 
 
 def integrate_rossler(
@@ -161,12 +168,16 @@ def integrate_rossler(
     """x-coordinate of the Rossler flow under fixed-step RK4."""
     params = params or RosslerParams()
     cfg = cfg or SimulationConfig()
+    return _tail(_rossler(params, _initial_state_3d(cfg), cfg), cfg)
+
+
+def _rossler(params: RosslerParams, state, cfg: SimulationConfig):
     alpha, beta, gamma = params.alpha, params.beta, params.gamma
-    x, y, z = _initial_state_3d(cfg)
+    x, y, z = state
     dt = cfg.dt
     half, sixth = 0.5 * dt, dt / 6.0
     isfinite = math.isfinite
-    xs = [x]
+    yield x
     for step in range(1, cfg.total_points):
         k1x = -y - z
         k1y = x + alpha * y
@@ -188,8 +199,7 @@ def integrate_rossler(
         z += sixth * (k1z + 2.0 * (k2z + k3z) + k4z)
         if not isfinite(x + y + z):
             raise DivergenceError("rossler state became non-finite", step=step)
-        xs.append(x)
-    return _finish(xs, cfg)
+        yield x
 
 
 def delay_steps(delay: float, dt: float) -> int:
@@ -210,34 +220,32 @@ def integrate_mackey_glass(
 ) -> TimeSeries:
     """Mackey-Glass trajectory from a constant pre-history.
 
-    The ring of past grid values supplies the delayed term: full steps read
-    the stored value directly, half steps average the two straddling ones.
-    A negative delayed state would put the fractional power outside its
-    domain, so it is treated as divergence rather than silently patched.
+    A ring of the d+1 latest grid values, seeded with the pre-history,
+    supplies the delayed term: full steps read a stored value, half steps
+    average the two straddling ones. A negative delayed state would put the
+    fractional power outside its domain, so it is treated as divergence.
     """
     params = params or MackeyGlassParams()
     cfg = cfg or SimulationConfig()
-    d = delay_steps(params.delay, cfg.dt)
+    # a delay beyond the run reads only the pre-history, so total_points caps it
+    d = min(delay_steps(params.delay, cfg.dt), cfg.total_points)
     hv = float(params.history_value)
-    if cfg.initial_state is not None:
-        if len(cfg.initial_state) != 1:
-            raise ConfigError(
-                "mackey-glass initial_state is a single component "
-                f"(got {len(cfg.initial_state)})"
-            )
-        x = float(cfg.initial_state[0])
-    else:
-        x = hv
+    if cfg.initial_state is not None and len(cfg.initial_state) != 1:
+        raise ConfigError(f"mackey-glass initial_state is a single component (got {len(cfg.initial_state)})")
+    x = hv if cfg.initial_state is None else float(cfg.initial_state[0])
+    return _tail(_mackey_glass(params, deque([hv] * d + [x], maxlen=d + 1), cfg), cfg)
+
+
+def _mackey_glass(params: MackeyGlassParams, past: deque, cfg: SimulationConfig):
+    """past[0] and past[1] hold x at step-1-d and step-d; past[-1] is x now."""
     beta, gamma, n = params.beta, params.gamma, params.exponent
+    x = past[-1]
     dt = cfg.dt
     half, sixth = 0.5 * dt, dt / 6.0
     isfinite = math.isfinite
-    xs = [x]
+    yield x
     for step in range(1, cfg.total_points):
-        j0 = step - 1 - d
-        j1 = j0 + 1
-        xd0 = xs[j0] if j0 >= 0 else hv
-        xd1 = xs[j1] if j1 >= 0 else hv
+        xd0, xd1 = past[0], past[1]
         if xd0 < 0.0 or xd1 < 0.0:
             raise DivergenceError("mackey-glass state left the nonnegative domain", step=step)
         xdh = 0.5 * (xd0 + xd1)
@@ -254,5 +262,5 @@ def integrate_mackey_glass(
         x += sixth * (k1 + 2.0 * (k2 + k3) + k4)
         if not isfinite(x):
             raise DivergenceError("mackey-glass state became non-finite", step=step)
-        xs.append(x)
-    return _finish(xs, cfg)
+        past.append(x)
+        yield x

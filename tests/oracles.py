@@ -122,3 +122,84 @@ def levels(sorted_vals, gap_fraction=0.15, max_levels=3):
         if i in cuts:
             level += 1
     return labels
+
+
+def lorenz(sigma, rho, beta, state, dt, total_points):
+    """x at every grid point of the Lorenz flow, one list append per RK4 step."""
+    x, y, z = state
+    half, sixth = 0.5 * dt, dt / 6.0
+    xs = [x]
+    for _ in range(1, total_points):
+        k1x = sigma * (y - x)
+        k1y = x * (rho - z) - y
+        k1z = x * y - beta * z
+        ax, ay, az = x + half * k1x, y + half * k1y, z + half * k1z
+        k2x = sigma * (ay - ax)
+        k2y = ax * (rho - az) - ay
+        k2z = ax * ay - beta * az
+        bx, by, bz = x + half * k2x, y + half * k2y, z + half * k2z
+        k3x = sigma * (by - bx)
+        k3y = bx * (rho - bz) - by
+        k3z = bx * by - beta * bz
+        cx, cy, cz = x + dt * k3x, y + dt * k3y, z + dt * k3z
+        k4x = sigma * (cy - cx)
+        k4y = cx * (rho - cz) - cy
+        k4z = cx * cy - beta * cz
+        x += sixth * (k1x + 2.0 * (k2x + k3x) + k4x)
+        y += sixth * (k1y + 2.0 * (k2y + k3y) + k4y)
+        z += sixth * (k1z + 2.0 * (k2z + k3z) + k4z)
+        xs.append(x)
+    return xs
+
+
+def rossler(alpha, beta, gamma, state, dt, total_points):
+    """x at every grid point of the Rossler flow, one list append per RK4 step."""
+    x, y, z = state
+    half, sixth = 0.5 * dt, dt / 6.0
+    xs = [x]
+    for _ in range(1, total_points):
+        k1x = -y - z
+        k1y = x + alpha * y
+        k1z = beta + (x - gamma) * z
+        ax, ay, az = x + half * k1x, y + half * k1y, z + half * k1z
+        k2x = -ay - az
+        k2y = ax + alpha * ay
+        k2z = beta + (ax - gamma) * az
+        bx, by, bz = x + half * k2x, y + half * k2y, z + half * k2z
+        k3x = -by - bz
+        k3y = bx + alpha * by
+        k3z = beta + (bx - gamma) * bz
+        cx, cy, cz = x + dt * k3x, y + dt * k3y, z + dt * k3z
+        k4x = -cy - cz
+        k4y = cx + alpha * cy
+        k4z = beta + (cx - gamma) * cz
+        x += sixth * (k1x + 2.0 * (k2x + k3x) + k4x)
+        y += sixth * (k1y + 2.0 * (k2y + k3y) + k4y)
+        z += sixth * (k1z + 2.0 * (k2z + k3z) + k4z)
+        xs.append(x)
+    return xs
+
+
+def mackey_glass(beta, gamma, n, d, hv, x, dt, total_points):
+    """Mackey-Glass under RK4 with the whole history kept and indexed d steps back.
+
+    Indices before 0 read the constant pre-history hv.
+    """
+    half, sixth = 0.5 * dt, dt / 6.0
+    xs = [x]
+    for step in range(1, total_points):
+        j0 = step - 1 - d
+        j1 = j0 + 1
+        xd0 = xs[j0] if j0 >= 0 else hv
+        xd1 = xs[j1] if j1 >= 0 else hv
+        xdh = 0.5 * (xd0 + xd1)
+        p0 = beta * xd0 / (1.0 + xd0**n)
+        ph = beta * xdh / (1.0 + xdh**n)
+        p1 = beta * xd1 / (1.0 + xd1**n)
+        k1 = p0 - gamma * x
+        k2 = ph - gamma * (x + half * k1)
+        k3 = ph - gamma * (x + half * k2)
+        k4 = p1 - gamma * (x + dt * k3)
+        x += sixth * (k1 + 2.0 * (k2 + k3) + k4)
+        xs.append(x)
+    return xs

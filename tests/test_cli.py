@@ -277,6 +277,10 @@ ESCAPES = {
         ["frm", "IN", "--level", "2", "--gap-fraction", "0.9"], _lorenz_file_with_one_level, "level 2 (by transition)"
     ),
     "pipeline frm level 7": (["pipeline", "IN", "--frm-level", "7"], None, "--level/--frm-level must lie in 1..3"),
+    "kept points below 2": (
+        ["generate", "lorenz", "--points", "1000000", "--discard", "0.9999999"], None,
+        "only 0 points kept after discarding; need at least 2",
+    ),
 }
 
 

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -195,3 +196,27 @@ def test_canonical_json_and_digest(tmp_path):
     loaded = manifest.load_manifest(path)
     assert loaded["manifest_sha256"] == d1
     assert loaded["a"] == [1, 2]
+
+
+def test_write_columns_streams_rows(tmp_path):
+    columns = list(np.random.default_rng(0).normal(size=(3, 50_000)))
+    path = tmp_path / "cols.csv"
+    exports._write_columns(path, ["a", "b", "c"], columns)  # warm-up
+    tracemalloc.start()
+    try:
+        exports._write_columns(path, ["a", "b", "c"], columns)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert peak < 2 * size, f"peak {peak} B for a {size} B file"
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert len(lines) == 50_001
+    assert lines[1] == ",".join(f"{c[0]:.17g}" for c in columns)
+
+
+def test_write_columns_length_mismatch_leaves_no_file(tmp_path):
+    path = tmp_path / "cols.csv"
+    with pytest.raises(ValueError):
+        exports._write_columns(path, ["a", "b"], [np.arange(3), np.arange(4)])
+    assert not path.exists()

@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import ordmaps as om
+import oracles
 
 
 def test_kept_points_is_exact_decimal_arithmetic():
@@ -54,9 +57,18 @@ def test_tail_length_and_origin_time():
 
 
 def test_everything_discarded_is_rejected():
-    cfg = om.SimulationConfig(total_points=10, discard_fraction=0.95, seed=0)
     with pytest.raises(om.ConfigError, match="at least 2"):
+        cfg = om.SimulationConfig(total_points=10, discard_fraction=0.95, seed=0)
         om.integrate_lorenz(cfg=cfg)
+
+
+def test_kept_points_rule_is_checked_by_the_config():
+    # rejected before any integrator runs, with the other config errors
+    with pytest.raises(om.ConfigError, match="only 0 points kept after discarding; need at least 2"):
+        om.SimulationConfig(total_points=10, discard_fraction=0.95, seed=0)
+    with pytest.raises(om.ConfigError, match="only 1 points kept"):
+        om.SimulationConfig(total_points=10, discard_fraction=0.85, seed=0)
+    assert om.kept_points(om.SimulationConfig(total_points=10, discard_fraction=0.8, seed=0)) == 2
 
 
 def test_divergence_reports_step():
@@ -115,3 +127,59 @@ def test_mackey_glass_deterministic_and_bounded():
     assert np.array_equal(a.samples, b.samples)
     assert a.samples.min() > 0.0
     assert a.samples.max() < 2.0
+
+
+def _dropped(cfg):
+    return cfg.total_points - om.kept_points(cfg)
+
+
+def _assert_matches_oracle(ts, xs, cfg):
+    dropped = _dropped(cfg)
+    assert np.array_equal(ts.samples, np.array(xs[dropped:]))
+    assert ts.samples.tobytes() == np.array(xs[dropped:]).tobytes()
+    assert ts.origin_time == dropped * cfg.dt
+
+
+@pytest.mark.parametrize("discard", [0.0, 0.5])
+@pytest.mark.parametrize("start", [{"seed": 4}, {"initial_state": (1.0, -2.0, 0.5)}], ids=["seed", "state"])
+def test_flows_match_list_oracles(start, discard):
+    cfg = om.SimulationConfig(dt=0.02, total_points=3001, discard_fraction=discard, **start)
+    if "seed" in start:
+        state = tuple(np.random.default_rng(start["seed"]).uniform(-1.0, 1.0, size=3).tolist())
+    else:
+        state = start["initial_state"]
+    lp = om.LorenzParams()
+    xs = oracles.lorenz(lp.sigma, lp.rho, lp.beta, state, cfg.dt, cfg.total_points)
+    _assert_matches_oracle(om.integrate_lorenz(cfg=cfg), xs, cfg)
+    rp = om.RosslerParams()
+    xs = oracles.rossler(rp.alpha, rp.beta, rp.gamma, state, cfg.dt, cfg.total_points)
+    _assert_matches_oracle(om.integrate_rossler(cfg=cfg), xs, cfg)
+
+
+@pytest.mark.parametrize("discard", [0.0, 0.5])
+@pytest.mark.parametrize("d", [1, 2, 3, 80])
+def test_mackey_glass_ring_matches_history_oracle(d, discard):
+    # x0 differs from the pre-history, so a ring read off by one step shows;
+    # d=80 is a delay longer than the 50-point run
+    cfg = om.SimulationConfig(dt=0.05, total_points=50, discard_fraction=discard, initial_state=(1.3,))
+    params = om.MackeyGlassParams(delay=d * 0.05, history_value=0.5)
+    assert om.delay_steps(params.delay, cfg.dt) == d
+    xs = oracles.mackey_glass(params.beta, params.gamma, params.exponent, d, 0.5, 1.3, cfg.dt, cfg.total_points)
+    _assert_matches_oracle(om.integrate_mackey_glass(params=params, cfg=cfg), xs, cfg)
+
+
+@pytest.mark.parametrize(
+    "integrate", [om.integrate_lorenz, om.integrate_rossler, om.integrate_mackey_glass],
+    ids=lambda f: f.__name__,
+)
+def test_integrators_store_only_the_kept_tail(integrate):
+    integrate(cfg=om.SimulationConfig(total_points=100, discard_fraction=0.5, seed=1))  # warm-up
+    cfg = om.SimulationConfig(total_points=200_000, discard_fraction=0.9, seed=1)
+    tracemalloc.start()
+    try:
+        ts = integrate(cfg=cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(ts) == 20_000
+    assert peak < cfg.total_points * 8, f"peak {peak} B for {cfg.total_points} points"
