@@ -3,9 +3,12 @@
 Every writer hands :func:`_write_columns` a header and one numpy array per
 column, and the column's dtype alone decides how its cells read: float64
 with 17 significant digits (round-trip exact), integers as decimals, and
-strings or objects as they are. A writer casts its bool columns to int, so
-they read 0/1. Patterns are dash-joined, every file carries a header row and
-rows follow a fixed order, so identical inputs produce identical bytes.
+strings or other objects as ``str`` renders them. A writer casts its bool
+columns to int, so they read 0/1. Rows are rendered by
+:func:`ordmaps.series.write_rows`: chunked, one ``%`` per chunk, each
+distinct float formatted once per chunk. Patterns are dash-joined, every
+file carries a header row and rows follow a fixed order, so identical inputs
+produce identical bytes.
 """
 
 from __future__ import annotations
@@ -17,24 +20,16 @@ from .levels import LevelNetwork
 from .network import TransitionCounts, occupancy
 from .ranking import PartitionReport, rank_partitions
 from .returnmaps import ReturnMap, diagonal_split, wing_split
-from .series import TimeSeries, dump_series
-
-
-def _cells(column: np.ndarray):
-    if column.dtype == np.float64:
-        return map("{:.17g}".format, column.tolist())
-    if column.dtype.kind in "iu":
-        return map(str, column.tolist())
-    return column.tolist()
+from .series import TimeSeries, dump_series, write_rows
 
 
 def _write_columns(path, header: list[str], columns: list[np.ndarray]) -> None:
-    """One header row, then row k of every column, streamed; lengths must agree."""
+    """One header row, then row k of every column by :func:`write_rows`; lengths must agree."""
     if len({len(column) for column in columns}) > 1:
         raise ValueError(f"columns differ in length: {sorted(map(len, columns))}")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
-        fh.writelines(",".join(row) + "\n" for row in zip(*map(_cells, columns)))
+        write_rows(fh, columns)
 
 
 def _shown(patterns, ranking: str) -> np.ndarray:
@@ -167,7 +162,7 @@ def write_embedding_csv(points: np.ndarray, path, seq: SymbolSequence | None = N
         pattern = np.full(len(points), "", dtype=object)
         pattern[starts] = _shown(seq.patterns, seq.config.ranking)[seq.inverse[inside]]
         level = np.full(len(points), "", dtype=object)
-        level[starts] = list(map(str, levels[inside].tolist()))
+        level[starts] = levels[inside]
         is_entry = np.zeros(len(points), dtype=np.int64)
         is_entry[starts] = seq.entries[inside]
         header += ["pattern", "level", "is_entry"]

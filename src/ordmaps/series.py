@@ -1,4 +1,8 @@
-"""Uniformly sampled scalar series: container, file ingestion, serialization."""
+"""Uniformly sampled scalar series: container, file ingestion, serialization.
+
+Serialization includes :func:`write_rows`, the one CSV row renderer that
+:func:`dump_series` and every writer in :mod:`ordmaps.exports` share.
+"""
 
 from __future__ import annotations
 
@@ -111,11 +115,41 @@ def load_series(path, format: str = "csv", dt: float | None = None) -> TimeSerie
     return TimeSeries(np.asarray(values), dt)
 
 
+CHUNK = 4096
+
+
+def write_rows(fh, columns: list[np.ndarray]) -> None:
+    """Write row k of every column as one comma-joined line, CHUNK rows per write.
+
+    A column's dtype picks its cells: float64 as ``%.17g`` (round-trip exact,
+    the text of ``"{:.17g}".format``), integers as ``%d`` and anything else
+    as ``%s``. Each chunk is one ``%`` of the row format repeated once per
+    row. Within a chunk every distinct float bit pattern is formatted once
+    and shared by all float cells holding it, so -0.0 keeps its sign.
+    """
+    floats = [j for j, column in enumerate(columns) if column.dtype == np.float64]
+    row = ",".join("%d" if column.dtype.kind in "iu" else "%s" for column in columns) + "\n"
+    rows = len(columns[0]) if columns else 0
+    for lo in range(0, rows, CHUNK):
+        chunk = [column[lo : lo + CHUNK] for column in columns]
+        block = np.empty((len(chunk[0]), len(chunk)), dtype=object)
+        for j, cells in enumerate(chunk):
+            if j not in floats:
+                block[:, j] = cells
+        if floats:
+            bits = np.stack([chunk[j] for j in floats]).view(np.int64)
+            distinct, inverse = np.unique(bits.ravel(), return_inverse=True)
+            values = distinct.view(np.float64).tolist()
+            text = np.array(("%.17g\n" * len(values) % tuple(values)).splitlines(), dtype=object)
+            block[:, floats] = text[inverse.reshape(bits.shape)].T
+        fh.write(row * len(block) % tuple(block.ravel().tolist()))
+
+
 def dump_series(series: TimeSeries, path) -> None:
     """Write the canonical single-column form read back by :func:`load_series`."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# dt={series.dt:.17g}\nx\n")
-        fh.writelines(map("{:.17g}\n".format, series.samples.tolist()))
+        write_rows(fh, [series.samples])
 
 
 def series_sha256(series: TimeSeries) -> str:

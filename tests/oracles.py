@@ -8,6 +8,28 @@ imports this module.
 
 import math
 
+import numpy as np
+
+
+def cells(column):
+    """Per-cell text by dtype: float64 via "{:.17g}".format, integers via str, others as they are."""
+    if column.dtype == np.float64:
+        return map("{:.17g}".format, column.tolist())
+    if column.dtype.kind in "iu":
+        return map(str, column.tolist())
+    return column.tolist()
+
+
+def csv_text(header, columns):
+    """A header line, then each row's cells joined by commas, one line per row."""
+    rows = zip(*map(cells, columns), strict=True)
+    return "".join(line + "\n" for line in [",".join(header), *map(",".join, rows)])
+
+
+def series_text(samples, dt):
+    """The canonical series file: a dt comment, the header x, one sample per line."""
+    return f"# dt={dt:.17g}\n" + csv_text(["x"], [samples])
+
 
 def window_count(n, m, tau, w):
     span = (m - 1) * tau

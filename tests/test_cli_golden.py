@@ -27,8 +27,9 @@ DATA = Path(__file__).parent / "data"
 
 SMALL_SIM = ["--points", 20000, "--discard", 0.5]
 
-# name -> argv, with FILE standing for the Lorenz series file and NOISE for
-# the noise file, on which hundreds of patterns occur
+# name -> argv, with FILE standing for the Lorenz series file, NOISE for the
+# noise file, on which hundreds of patterns occur, and ZEROS for a file of
+# signed zeros, subnormals and values repeated many times over
 CASES = {
     "generate-lorenz": ["generate", "lorenz", "--seed", 1, "--points", 3000, "--discard", 0.5],
     "generate-lorenz-flags": [
@@ -82,6 +83,8 @@ CASES = {
     "analyze-noise-sub": ["analyze", "NOISE", "--m", 5, "--tau", 1, "--sub-m", 4, "--sub-tau", 2, "--sub-w", 2],
     "levels-noise-m6": ["levels", "NOISE", "--m", 6, "--tau", 1, "--per-entry"],
     "embed-noise-m5": ["embed", "NOISE", "--m", 5, "--tau", 1, "--dim", 3, "--lag", 2, "--color", "level"],
+    "embed-signed-zeros": ["embed", "ZEROS", "--m", 3, "--dim", 3, "--lag", 1],
+    "pipeline-signed-zeros": ["pipeline", "ZEROS"],
 }
 
 GOLDEN = {
@@ -95,6 +98,7 @@ GOLDEN = {
     "embed-level": "ce5846b0fce195a93f8c8a80fb9b7ecf668c2baf9ee67b3335ef39c62611ebba",
     "embed-none": "a35099773073da1c1bdbc58ca6b6b20616cb9e21c0bb9a371624c5c179d72390",
     "embed-noise-m5": "bf17d7f6fe8b81e6feab7c7bbf4a13bd99b11a5e0bf74696348557e764a62de1",
+    "embed-signed-zeros": "182f433db61a29e772be9d2d9ae29aa050e53c1c5f3b0dac9b2372f1b78d94c2",
     "embed-pattern": "1fb8ffd0062212486055afe1f505bc6b495995fe63e2caa71d7e99aa6b1c7170",
     "embed-tau": "79206933aa23c6a20638085656922674fa0600b50c718a67de3e5f902bd98bb5",
     "frm-level": "8e88208adfff6a4fd9d964fa5290c5c2fbf79f3948603f4e59a5b826d1ec52ef",
@@ -119,6 +123,7 @@ GOLDEN = {
     "pipeline-lorenz": "d7a09d29158ff11e9cd1d2238935e575be3caa0c8f1a6aba8b4cfc2ed1b5a6ef",
     "pipeline-lorenz-lag": "6892ffe7e81fe2b3d52b6c645e24a43a705b19b03223401be1bd08d5aa1411ec",
     "pipeline-mackey-glass": "8b471eb0c7568ee4b922bfde0062065d1ba801a506cd3d042de445c0d6d95ba7",
+    "pipeline-signed-zeros": "d1bc6b542bee8c1a526333fbd1558ac26db8f44c392a16ce15b235f4018cf9c6",
     "pipeline-rossler": "24f56b16322fb42b4f32b038935b27c3edd14f62c41f0afd4eb171bfbcaa4d9c",
 }
 
@@ -140,6 +145,21 @@ def noise_file(tmp_path_factory):
     return path
 
 
+@pytest.fixture(scope="module")
+def zeros_file(tmp_path_factory):
+    # 0 and -0 compare equal but must keep their own text; 5e-324 is the least subnormal
+    draw = random.Random(8).choice
+    pool = ["0", "-0", "5e-324", "-5e-324", "0.1", "-0.1", "1e16", "2.5", "-2.5", "1"]
+    path = tmp_path_factory.mktemp("golden") / "zeros.csv"
+    path.write_text("# dt=1\nx\n" + "".join(draw(pool) + "\n" for _ in range(3000)))
+    return path
+
+
+@pytest.fixture(scope="module")
+def inputs(series_file, noise_file, zeros_file):
+    return {"FILE": series_file, "NOISE": noise_file, "ZEROS": zeros_file}
+
+
 def run_dir_sha256(run_dir: Path, input_path: Path | None = None) -> str:
     """One SHA-256 over every file of a run directory, names included."""
     digest = hashlib.sha256()
@@ -155,8 +175,7 @@ def run_dir_sha256(run_dir: Path, input_path: Path | None = None) -> str:
     return digest.hexdigest()
 
 
-def run_case(name: str, series_file: Path, out: Path, noise_file: Path | None = None) -> str:
-    files = {"FILE": series_file, "NOISE": noise_file}
+def run_case(name: str, files: dict[str, Path], out: Path) -> str:
     argv = [str(files.get(a, a)) for a in CASES[name]]
     assert cli.main(argv + ["--out-dir", str(out)]) == 0
     used = [files[a] for a in CASES[name] if a in files]
@@ -164,13 +183,13 @@ def run_case(name: str, series_file: Path, out: Path, noise_file: Path | None = 
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_run_directory_bytes_are_pinned(name, series_file, noise_file, tmp_path):
-    assert run_case(name, series_file, tmp_path / name, noise_file) == GOLDEN[name]
+def test_run_directory_bytes_are_pinned(name, inputs, tmp_path):
+    assert run_case(name, inputs, tmp_path / name) == GOLDEN[name]
 
 
 @pytest.mark.parametrize("name", ["pipeline-file-lag", "pipeline-file-color-none"])
 def test_rerun_of_file_run_is_pinned(name, series_file, tmp_path):
-    run_case(name, series_file, tmp_path / "first")
+    run_case(name, {"FILE": series_file}, tmp_path / "first")
     again = tmp_path / "again"
     assert cli.main(["rerun", str(tmp_path / "first" / "manifest.json"), "--out-dir", str(again)]) == 0
     assert run_dir_sha256(again, series_file) == GOLDEN[name]

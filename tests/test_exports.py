@@ -6,6 +6,9 @@ import pytest
 
 import ordmaps as om
 from ordmaps import exports, manifest
+from ordmaps.series import CHUNK
+
+from oracles import csv_text, series_text
 
 
 def _analyzed(values, m=2):
@@ -220,3 +223,74 @@ def test_write_columns_length_mismatch_leaves_no_file(tmp_path):
     with pytest.raises(ValueError):
         exports._write_columns(path, ["a", "b"], [np.arange(3), np.arange(4)])
     assert not path.exists()
+
+
+EDGE_FLOATS = [
+    0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
+    0.1, 1e16, 1e17, 2.0**53, 2.0**53 + 2, -1.5,
+]
+
+
+def _floats(rng, n):
+    """Edge values, then finite random bit patterns of which about a third repeat earlier values."""
+    bits = rng.integers(np.iinfo(np.int64).min, np.iinfo(np.int64).max, size=2 * n + 8, endpoint=True)
+    drawn = bits.view(np.float64)
+    values = np.concatenate([EDGE_FLOATS, drawn[np.isfinite(drawn)]])[:n]
+    repeats = values[rng.integers(0, max(n // 10, 1), size=n)]
+    later = np.arange(n) >= len(EDGE_FLOATS)
+    return np.where(later & (rng.random(n) < 1 / 3), repeats, values)
+
+
+def _columns(n):
+    """Six columns: a float series and its lagged copy, int64, uint64, bool as int, strings."""
+    rng = np.random.default_rng(n)
+    base = _floats(rng, n + 1)
+    i64, u64 = np.iinfo(np.int64), np.iinfo(np.uint64)
+    ints = np.concatenate([[i64.min, i64.max], rng.integers(-1000, 1000, size=n)])[:n]
+    uints = np.concatenate([[u64.max], rng.integers(0, u64.max, size=n, dtype=np.uint64, endpoint=True)])[:n]
+    flags = (rng.random(n) < 0.5).astype(np.int64)
+    texts = np.array(["%", "%s", "%%", "", "1-2-3", "a%db"], dtype=object)[rng.integers(0, 6, size=n)]
+    return [base[:n], base[1:], ints, uints, flags, texts]
+
+
+@pytest.mark.parametrize("rows", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5])
+@pytest.mark.parametrize("pick", [[0], [2], [3], [4], [5], [0, 1, 2, 3, 4, 5]], ids=str)
+def test_write_columns_matches_per_cell_oracle(tmp_path, rows, pick):
+    columns = [_columns(rows)[j] for j in pick]
+    header = [f"c{j}" for j in pick]
+    path = tmp_path / "cols.csv"
+    exports._write_columns(path, header, columns)
+    assert path.read_bytes() == csv_text(header, columns).encode()
+
+
+@pytest.mark.parametrize("rows", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5])
+def test_dump_series_matches_per_cell_oracle(tmp_path, rows):
+    samples = _floats(np.random.default_rng(rows), rows)
+    path = tmp_path / "series.csv"
+    om.dump_series(om.TimeSeries(samples, dt=0.1), path)
+    assert path.read_bytes() == series_text(samples, 0.1).encode()
+
+
+def _traced_peak(write) -> int:
+    write()  # warm-up
+    tracemalloc.start()
+    try:
+        write()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("writer", ["write_columns", "dump_series"])
+def test_renderer_memory_does_not_grow_with_rows(tmp_path, writer):
+    path = tmp_path / "out.csv"
+    peaks = []
+    for rows in (50_000, 400_000):
+        x = np.random.default_rng(0).normal(size=rows + 2)
+        if writer == "write_columns":  # three lagged copies of one series, as in an embedding
+            columns = [x[:-2], x[1:-1], x[2:]]
+            peaks.append(_traced_peak(lambda: exports._write_columns(path, ["x0", "x1", "x2"], columns)))
+        else:
+            series = om.TimeSeries(x[:rows], dt=1.0)
+            peaks.append(_traced_peak(lambda: om.dump_series(series, path)))
+    assert peaks[1] <= 1.2 * peaks[0], f"peak {peaks[1]} B at 4e5 rows against {peaks[0]} B at 5e4"
