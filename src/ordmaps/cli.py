@@ -43,7 +43,6 @@ from .encoding import (
     OrdinalPattern,
     WindowConfig,
     canonical_pattern,
-    display_pattern,
     symbolize,
 )
 from .errors import ConfigError, EmptyMapError, OrdmapsError
@@ -306,12 +305,11 @@ def _analysis(series, run):
 
 
 def _write_analysis(writer, seq, reports):
-    ranking = seq.config.ranking
     tc = build_opn(seq)
     writer.emit("symbols.csv", lambda p: write_symbols_csv(seq, p))
-    writer.emit("partitions.csv", lambda p: write_partitions_csv(reports, p, ranking))
-    writer.emit("entropy_curve.csv", lambda p: write_entropy_curve_csv(reports, p, ranking))
-    writer.emit("opn_edges.csv", lambda p: write_opn_edges_csv(tc, p, ranking))
+    writer.emit("partitions.csv", lambda p: write_partitions_csv(seq, reports, p))
+    writer.emit("entropy_curve.csv", lambda p: write_entropy_curve_csv(seq, reports, p))
+    writer.emit("opn_edges.csv", lambda p: write_opn_edges_csv(seq, tc, p))
     writer.emit("opn_nodes.csv", lambda p: write_opn_nodes_csv(seq, p))
 
 
@@ -319,24 +317,17 @@ def _frm_maps(series, run, seq=None, reports=None):
     frm = run.frm
     if frm["mode"] == "maxima":
         return [maxima_frm(series, sign_split=frm["sign_split"])]
-    ranking = run.window.ranking
     maps = []
     if frm["mode"] == "pattern":
         for shown in run.patterns:
-            entries = entry_points(seq, canonical_pattern(shown, ranking))
+            entries = entry_points(seq, canonical_pattern(shown, run.window.ranking))
             maps.append(frm_from_entries(series, entries, source=f"partition:{shown.dashed()}"))
         return maps
     level_attr = _LEVEL_ATTR[frm["by"]]
-    selected = [r for r in reports if getattr(r, level_attr) == frm["level"]]
-    for report in sorted(selected, key=lambda r: r.pattern.perm):
-        if len(report.entry_indices) < 2:
-            continue  # cannot form a single pair; recorded by absence
-        shown = display_pattern(report.pattern, ranking)
-        maps.append(
-            frm_from_entries(
-                series, report.entry_indices, source=f"partition:{shown.dashed()}"
-            )
-        )
+    for report, shown in zip(reports, seq.shown):  # reports come in pattern order
+        if getattr(report, level_attr) != frm["level"] or len(report.entry_indices) < 2:
+            continue  # fewer than 2 entries cannot form a pair; recorded by absence
+        maps.append(frm_from_entries(series, report.entry_indices, source=f"partition:{shown}"))
     return maps
 
 

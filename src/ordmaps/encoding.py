@@ -17,6 +17,10 @@ Ties are broken by treating the earlier index as the smaller value.
 Patterns are stored canonically in chronological form (one hashable key
 per partition regardless of display scheme); the amplitude rendering is
 derived on demand via :func:`chron_to_amplitude`.
+
+A :class:`SymbolSequence` decodes its distinct keys once, as one array of
+digit rows, and renders the dashed text of every distinct pattern under its
+own ranking once, as the column ``shown`` that every writer indexes.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ class OrdinalPattern:
     perm: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "perm", tuple(int(v) for v in self.perm))
+        object.__setattr__(self, "perm", tuple(map(int, self.perm)))
         m = len(self.perm)
         if m < 2 or sorted(self.perm) != list(range(1, m + 1)):
             raise ValueError(f"not a permutation of 1..m with m >= 2: {self.perm}")
@@ -146,6 +150,12 @@ def encode_perm_rows(rows: np.ndarray) -> np.ndarray:
     return rows.astype(np.int64, copy=False) @ weights
 
 
+def decode_perm_rows(codes: np.ndarray, m: int) -> np.ndarray:
+    """Inverse of :func:`encode_perm_rows`: the m digits of each key, one row per key."""
+    powers = (m + 1) ** np.arange(m - 1, -1, -1, dtype=np.int64)
+    return codes[:, None] // powers % (m + 1)
+
+
 def pattern_code(pattern: OrdinalPattern) -> int:
     return int(encode_perm_rows(np.asarray([pattern.perm]))[0])
 
@@ -178,8 +188,9 @@ class SymbolSequence:
     ranking lives in ``config`` and only affects rendering.
 
     The windows are grouped by pattern once, on first use, and every module
-    reads that one grouping: ``patterns``, ``inverse``, ``windows`` and
-    ``entries``. The class is frozen so the grouping cannot go stale.
+    reads that one grouping: ``patterns``, ``inverse``, ``windows``,
+    ``entries`` and ``shown``. The class is frozen so the grouping cannot go
+    stale.
     """
 
     codes: np.ndarray
@@ -196,8 +207,19 @@ class SymbolSequence:
 
     @cached_property
     def patterns(self) -> tuple[OrdinalPattern, ...]:
-        """The distinct patterns, each decoded once, in lexicographic order."""
-        return tuple(decode_pattern(int(code), self.config.m) for code in self._unique[0])
+        """The distinct patterns, all decoded at once, in lexicographic order."""
+        digits = iter(decode_perm_rows(self._unique[0], self.config.m).ravel().tolist())
+        return tuple(map(OrdinalPattern, zip(*[digits] * self.config.m)))
+
+    @cached_property
+    def shown(self) -> np.ndarray:
+        """The dashed text of each of ``patterns`` under ``config.ranking``, as an object array to index."""
+        m = self.config.m
+        rows = decode_perm_rows(self._unique[0], m)
+        if self.config.ranking == "amplitude":  # see chron_to_amplitude
+            rows = m - rows.argsort(axis=1)
+        text = ("-".join(["%d"] * m) + "\n") * len(rows) % tuple(rows.ravel().tolist())
+        return np.array(text.splitlines(), dtype=object)
 
     @property
     def inverse(self) -> np.ndarray:

@@ -6,8 +6,11 @@ with 17 significant digits (round-trip exact), integers as decimals, and
 strings or other objects as ``str`` renders them. A writer casts its bool
 columns to int, so they read 0/1. Rows are rendered by
 :func:`ordmaps.series.write_rows`: chunked, one ``%`` per chunk, each
-distinct float formatted once per chunk. Patterns are dash-joined, every
-file carries a header row and rows follow a fixed order, so identical inputs
+distinct float formatted once per chunk. A writer that shows patterns takes
+the symbol sequence and indexes its column ``shown``, the dash-joined text of
+each distinct pattern under the sequence's ranking, rendered once per
+sequence; reports and networks are indexed like ``seq.patterns``. Every file
+carries a header row and rows follow a fixed order, so identical inputs
 produce identical bytes.
 """
 
@@ -15,10 +18,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .encoding import SymbolSequence, display_pattern
+from .encoding import SymbolSequence
 from .levels import LevelNetwork
 from .network import TransitionCounts, occupancy
-from .ranking import PartitionReport, rank_partitions
+from .ranking import PartitionReport
 from .returnmaps import ReturnMap, diagonal_split, wing_split
 from .series import TimeSeries, dump_series, write_rows
 
@@ -32,19 +35,18 @@ def _write_columns(path, header: list[str], columns: list[np.ndarray]) -> None:
         write_rows(fh, columns)
 
 
-def _shown(patterns, ranking: str) -> np.ndarray:
-    """The dashed display of each pattern, as an object array to index."""
-    shown = [display_pattern(pattern, ranking).dashed() for pattern in patterns]
-    return np.array(shown, dtype=object)
-
-
 def _report_column(reports: list[PartitionReport], attr: str, dtype) -> np.ndarray:
     return np.array([getattr(r, attr) for r in reports], dtype=dtype)
 
 
+def _check_patterns(seq: SymbolSequence, patterns, what: str) -> None:
+    """``seq.shown`` labels rows indexed like ``seq.patterns``; refuse anything else."""
+    if list(patterns) != list(seq.patterns):
+        raise ValueError(f"{what} must follow seq.patterns one to one")
+
+
 def write_symbols_csv(seq: SymbolSequence, path) -> None:
-    shown = _shown(seq.patterns, seq.config.ranking)
-    _write_columns(path, ["start_index", "pattern"], [seq.start_indices, shown[seq.inverse]])
+    _write_columns(path, ["start_index", "pattern"], [seq.start_indices, seq.shown[seq.inverse]])
 
 
 PARTITION_COLUMNS = [
@@ -53,9 +55,10 @@ PARTITION_COLUMNS = [
 ]
 
 
-def write_partitions_csv(reports: list[PartitionReport], path, ranking: str = "chronological") -> None:
-    reports = sorted(reports, key=lambda r: r.pattern.perm)
-    columns = [_shown((r.pattern for r in reports), ranking)]
+def write_partitions_csv(seq: SymbolSequence, reports: list[PartitionReport], path) -> None:
+    """One row per partition in pattern order; ``reports`` as :func:`analyze_partitions` returns them."""
+    _check_patterns(seq, (r.pattern for r in reports), "reports")
+    columns = [seq.shown]
     for attr, dtype in (
         ("occurrence", np.int64),
         ("entries", np.int64),
@@ -72,30 +75,35 @@ def write_partitions_csv(reports: list[PartitionReport], path, ranking: str = "c
     _write_columns(path, PARTITION_COLUMNS, columns)
 
 
-def write_entropy_curve_csv(reports: list[PartitionReport], path, ranking: str = "chronological") -> None:
-    """Both weighted entropies ranked by the transition-weighted one."""
-    ranked = rank_partitions(reports, by="transition_entropy")
+def write_entropy_curve_csv(seq: SymbolSequence, reports: list[PartitionReport], path) -> None:
+    """Both weighted entropies ranked by the transition-weighted one, as :func:`rank_partitions` ranks.
+
+    ``reports`` as :func:`analyze_partitions` returns them.
+    """
+    _check_patterns(seq, (r.pattern for r in reports), "reports")
+    h_wt = _report_column(reports, "transition_entropy", np.float64)
+    ranked = np.argsort(-h_wt, kind="stable")  # ties keep pattern order
     columns = [
         np.arange(1, len(ranked) + 1),
-        _shown((r.pattern for r in ranked), ranking),
-        _report_column(ranked, "transition_entropy", np.float64),
-        _report_column(ranked, "weighted_entropy", np.float64),
-        _report_column(ranked, "transition_level", np.int64),
-        _report_column(ranked, "weighted_level", np.int64),
+        seq.shown[ranked],
+        h_wt[ranked],
+        _report_column(reports, "weighted_entropy", np.float64)[ranked],
+        _report_column(reports, "transition_level", np.int64)[ranked],
+        _report_column(reports, "weighted_level", np.int64)[ranked],
     ]
     _write_columns(path, ["rank", "pattern", "h_wt", "h_w", "level_wt", "level_w"], columns)
 
 
-def write_opn_edges_csv(tc: TransitionCounts, path, ranking: str = "chronological") -> None:
-    """The non-zero edges in row-major order."""
-    shown = _shown(tc.patterns, ranking)
-    _write_columns(path, ["from_pattern", "to_pattern", "count"], [shown[tc.source], shown[tc.target], tc.count])
+def write_opn_edges_csv(seq: SymbolSequence, tc: TransitionCounts, path) -> None:
+    """The non-zero edges of ``build_opn(seq)`` in row-major order."""
+    _check_patterns(seq, tc.patterns, "tc.patterns")
+    columns = [seq.shown[tc.source], seq.shown[tc.target], tc.count]
+    _write_columns(path, ["from_pattern", "to_pattern", "count"], columns)
 
 
 def write_opn_nodes_csv(seq: SymbolSequence, path) -> None:
     """The occupancy of every occurring pattern."""
-    shown = _shown(seq.patterns, seq.config.ranking)
-    _write_columns(path, ["pattern", "occupancy"], [shown, occupancy(seq)])
+    _write_columns(path, ["pattern", "occupancy"], [seq.shown, occupancy(seq)])
 
 
 def write_frm_csv(rm: ReturnMap, path) -> None:
@@ -160,7 +168,7 @@ def write_embedding_csv(points: np.ndarray, path, seq: SymbolSequence | None = N
         inside = seq.start_indices < len(points)
         starts = seq.start_indices[inside]
         pattern = np.full(len(points), "", dtype=object)
-        pattern[starts] = _shown(seq.patterns, seq.config.ranking)[seq.inverse[inside]]
+        pattern[starts] = seq.shown[seq.inverse[inside]]
         level = np.full(len(points), "", dtype=object)
         level[starts] = levels[inside]
         is_entry = np.zeros(len(points), dtype=np.int64)

@@ -3,12 +3,17 @@
 Everything here favours obviousness over speed: per-window python sorts,
 dict counters and direct formula transcription. Tests freeze oracle
 outputs or compare package results against them; the package never
-imports this module.
+imports this module, which borrows only the package's error types and
+series container.
 """
 
 import math
+import re
 
 import numpy as np
+
+from ordmaps.errors import ConfigError, ParseError, TooShortError
+from ordmaps.series import TimeSeries
 
 
 def cells(column):
@@ -29,6 +34,57 @@ def csv_text(header, columns):
 def series_text(samples, dt):
     """The canonical series file: a dt comment, the header x, one sample per line."""
     return f"# dt={dt:.17g}\n" + csv_text(["x"], [samples])
+
+
+def load_series(path, format="csv", dt=None):
+    """A series file read line by line: one float per row, comments, one header row.
+
+    The same rules and messages as ``ordmaps.load_series``, which converts
+    whole batches of rows at once.
+    """
+    header_dt = None
+    header_skipped = False
+    values = []
+    with open(path, encoding="utf-8-sig", errors="replace") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line:
+                continue
+            if line.startswith("#"):
+                match = re.search(r"dt\s*=\s*([^\s,]+)", line)
+                if match:
+                    try:
+                        header_dt = float(match.group(1))
+                    except ValueError:
+                        raise ParseError(
+                            f"cannot parse dt {match.group(1)!r} at row {lineno}", row=lineno
+                        ) from None
+                continue
+            cells = line.split(",") if format == "csv" else line.split()
+            cells = [c.strip() for c in cells if c.strip()]
+            if len(cells) != 1:
+                raise ParseError(
+                    f"expected one value per row, row {lineno} has {len(cells)}", row=lineno
+                )
+            try:
+                value = float(cells[0])
+            except ValueError:
+                if not values and not header_skipped:
+                    header_skipped = True
+                    continue
+                raise ParseError(
+                    f"non-numeric value {cells[0]!r} at row {lineno}", row=lineno
+                ) from None
+            if not math.isfinite(value):
+                raise ParseError(f"non-finite value at row {lineno}", row=lineno)
+            values.append(value)
+    if len(values) < 2:
+        raise TooShortError(f"{path} holds {len(values)} samples; at least 2 required")
+    if dt is None:
+        dt = header_dt
+    if dt is None:
+        raise ConfigError(f"dt not given and no '# dt=...' header found in {path}")
+    return TimeSeries(np.asarray(values), dt)
 
 
 def window_count(n, m, tau, w):

@@ -162,3 +162,22 @@ def test_distinct_patterns_lex_order_with_counts():
     seq = om.symbolize(ts, om.WindowConfig(m=2, tau=1, w=1))
     pats = om.distinct_patterns(seq)
     assert [(p.perm, c) for p, c in pats] == [((1, 2), 2), ((2, 1), 2)]
+
+
+@pytest.mark.parametrize("m", range(2, 12))
+def test_shown_matches_per_pattern_display(m):
+    rng = np.random.default_rng(m)
+    values = rng.integers(0, 6, size=3000).astype(float)  # tie-prone
+    for tau, w in ((1, 1), (2, 3)):
+        for ranking in om.encoding.RANKINGS:
+            seq = om.symbolize(om.TimeSeries(values, dt=1.0), om.WindowConfig(m=m, tau=tau, w=w, ranking=ranking))
+            assert seq.shown.tolist() == [om.display_pattern(p, ranking).dashed() for p in seq.patterns]
+
+
+@pytest.mark.parametrize("m", range(2, 8))
+def test_patterns_decode_like_decode_pattern(m):
+    perms = np.array(list(itertools.permutations(range(1, m + 1))))
+    codes = om.encoding.encode_perm_rows(perms)
+    shuffled = np.random.default_rng(m).permutation(codes)
+    seq = om.SymbolSequence(shuffled, np.arange(len(codes)), len(codes), om.WindowConfig(m=m))
+    assert seq.patterns == tuple(om.decode_pattern(code, m) for code in sorted(codes.tolist()))
