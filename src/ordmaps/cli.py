@@ -30,6 +30,8 @@ from pathlib import Path
 from types import SimpleNamespace
 from typing import get_type_hints
 
+import numpy as np
+
 from .embedding import (
     LORENZ_EMBEDDING,
     MACKEY_GLASS_EMBEDDING,
@@ -66,8 +68,8 @@ from .network import build_opn
 from .ranking import (
     LevelConfig,
     SubSeriesConfig,
-    analyze_partitions,
     entry_points,
+    partition_table,
 )
 from .returnmaps import frm_from_entries, maxima_frm
 from .series import check_dt, load_series, series_sha256
@@ -95,23 +97,27 @@ class _RunWriter:
 
     def __init__(self, out_dir: Path):
         self.out_dir = out_dir
-        self._created_dir = not out_dir.exists()
+        self._created: list[Path] = []  # the directories this run makes, deepest first
+        for directory in (out_dir, *out_dir.parents):
+            if directory.exists():
+                break
+            self._created.append(directory)
         out_dir.mkdir(parents=True, exist_ok=True)
         self.written: list[Path] = []
 
     def emit(self, name: str, fn) -> None:
         path = self.out_dir / name
+        self.written.append(path)  # before writing, so a half-written file goes too
         fn(path)
-        self.written.append(path)
 
     def cleanup(self) -> None:
         for path in self.written:
             path.unlink(missing_ok=True)
-        if self._created_dir:
+        for directory in self._created:
             try:
-                self.out_dir.rmdir()
+                directory.rmdir()
             except OSError:
-                pass
+                break  # not empty, and so neither is any parent
 
 
 # ------------------------------------------------------------ run spec
@@ -301,19 +307,19 @@ def _realize_input(run):
 
 def _analysis(series, run):
     seq = symbolize(series, run.window)
-    return seq, analyze_partitions(series, seq, run.subseries, run.levels)
+    return seq, partition_table(series, seq, run.subseries, run.levels)
 
 
-def _write_analysis(writer, seq, reports):
+def _write_analysis(writer, seq, table):
     tc = build_opn(seq)
     writer.emit("symbols.csv", lambda p: write_symbols_csv(seq, p))
-    writer.emit("partitions.csv", lambda p: write_partitions_csv(seq, reports, p))
-    writer.emit("entropy_curve.csv", lambda p: write_entropy_curve_csv(seq, reports, p))
+    writer.emit("partitions.csv", lambda p: write_partitions_csv(seq, table, p))
+    writer.emit("entropy_curve.csv", lambda p: write_entropy_curve_csv(seq, table, p))
     writer.emit("opn_edges.csv", lambda p: write_opn_edges_csv(seq, tc, p))
     writer.emit("opn_nodes.csv", lambda p: write_opn_nodes_csv(seq, p))
 
 
-def _frm_maps(series, run, seq=None, reports=None):
+def _frm_maps(series, run, seq=None, table=None):
     frm = run.frm
     if frm["mode"] == "maxima":
         return [maxima_frm(series, sign_split=frm["sign_split"])]
@@ -323,11 +329,10 @@ def _frm_maps(series, run, seq=None, reports=None):
             entries = entry_points(seq, canonical_pattern(shown, run.window.ranking))
             maps.append(frm_from_entries(series, entries, source=f"partition:{shown.dashed()}"))
         return maps
-    level_attr = _LEVEL_ATTR[frm["by"]]
-    for report, shown in zip(reports, seq.shown):  # reports come in pattern order
-        if getattr(report, level_attr) != frm["level"] or len(report.entry_indices) < 2:
-            continue  # fewer than 2 entries cannot form a pair; recorded by absence
-        maps.append(frm_from_entries(series, report.entry_indices, source=f"partition:{shown}"))
+    # fewer than 2 entries cannot form a pair; such a partition is recorded by absence
+    picked = (getattr(table, _LEVEL_ATTR[frm["by"]]) == frm["level"]) & (table.entries >= 2)
+    for i in np.flatnonzero(picked).tolist():
+        maps.append(frm_from_entries(series, table.entry_indices(i), source=f"partition:{seq.shown[i]}"))
     return maps
 
 
@@ -343,11 +348,11 @@ def _write_frm(writer, maps):
     )
 
 
-def _write_levels(writer, seq, reports, run):
+def _write_levels(writer, seq, table, run):
     by_attr = _LEVEL_ATTR[run.level_network["by"]]
-    full = level_sequence(seq, reports, by_attr)
+    full = level_sequence(seq, table, by_attr)
     used = (
-        entry_level_sequence(seq, reports, by_attr)
+        entry_level_sequence(seq, table, by_attr)
         if run.level_network["per_entry"]
         else full
     )
@@ -356,12 +361,12 @@ def _write_levels(writer, seq, reports, run):
     writer.emit("level_network.csv", lambda p: write_level_network_csv(net, p))
 
 
-def _write_embedding(writer, series, run, seq, reports):
+def _write_embedding(writer, series, run, seq, table):
     points = delay_embed(series, run.embedding)
     if seq is None or run.color == "none":
         writer.emit("embedded.csv", lambda p: write_embedding_csv(points, p))
         return
-    levels = level_sequence(seq, reports, _LEVEL_ATTR[run.level_network["by"]])
+    levels = level_sequence(seq, table, _LEVEL_ATTR[run.level_network["by"]])
     writer.emit("embedded.csv", lambda p: write_embedding_csv(points, p, seq, levels))
 
 
@@ -373,17 +378,17 @@ def _run_generate(run, series, writer):
 
 
 def _run_analyze(run, series, writer):
-    seq, reports = _analysis(series, run)
-    _write_analysis(writer, seq, reports)
+    seq, table = _analysis(series, run)
+    _write_analysis(writer, seq, table)
 
 
 def _run_frm(run, series, writer):
-    seq = reports = None
+    seq = table = None
     if run.frm["mode"] == "pattern":
         seq = symbolize(series, run.window)
     elif run.frm["mode"] == "level":
-        seq, reports = _analysis(series, run)
-    maps = _frm_maps(series, run, seq, reports)
+        seq, table = _analysis(series, run)
+    maps = _frm_maps(series, run, seq, table)
     if not maps:  # the other modes raise on their own; pipeline adds a maxima map
         level, by = run.frm["level"], run.frm["by"]
         raise EmptyMapError(f"no partition at level {level} (by {by}) has the 2 entry points a map needs", count=0)
@@ -391,27 +396,27 @@ def _run_frm(run, series, writer):
 
 
 def _run_levels(run, series, writer):
-    seq, reports = _analysis(series, run)
-    _write_levels(writer, seq, reports, run)
+    seq, table = _analysis(series, run)
+    _write_levels(writer, seq, table, run)
 
 
 def _run_embed(run, series, writer):
-    seq, reports = _analysis(series, run) if run.color != "none" else (None, None)
-    _write_embedding(writer, series, run, seq, reports)
+    seq, table = _analysis(series, run) if run.color != "none" else (None, None)
+    _write_embedding(writer, series, run, seq, table)
 
 
 def _run_pipeline(run, series, writer):
     writer.emit("series.csv", lambda p: write_series_csv(series, p))
-    seq, reports = _analysis(series, run)
-    _write_analysis(writer, seq, reports)
-    maps = _frm_maps(series, run, seq, reports)
+    seq, table = _analysis(series, run)
+    _write_analysis(writer, seq, table)
+    maps = _frm_maps(series, run, seq, table)
     try:
         maps.append(maxima_frm(series, sign_split=run.frm["sign_split"]))
     except OrdmapsError:
         pass  # too few maxima is not fatal for the partition pipeline
     _write_frm(writer, maps)
-    _write_levels(writer, seq, reports, run)
-    _write_embedding(writer, series, run, seq, reports)
+    _write_levels(writer, seq, table, run)
+    _write_embedding(writer, series, run, seq, table)
 
 
 # per command: the run spec sections it holds besides command, version and

@@ -188,9 +188,10 @@ class SymbolSequence:
     ranking lives in ``config`` and only affects rendering.
 
     The windows are grouped by pattern once, on first use, and every module
-    reads that one grouping: ``patterns``, ``inverse``, ``windows``,
-    ``entries`` and ``shown``. The class is frozen so the grouping cannot go
-    stale.
+    reads that one grouping: ``pattern_codes``, ``inverse``, ``entries`` and
+    ``shown`` as arrays, and ``patterns`` and ``windows`` as one object per
+    pattern for callers that ask for one pattern at a time. The class is
+    frozen so the grouping cannot go stale.
     """
 
     codes: np.ndarray
@@ -205,17 +206,22 @@ class SymbolSequence:
     def _unique(self) -> tuple[np.ndarray, np.ndarray]:
         return np.unique(self.codes, return_inverse=True)
 
+    @property
+    def pattern_codes(self) -> np.ndarray:
+        """The distinct codes, ascending: one per entry of ``patterns``, none decoded."""
+        return self._unique[0]
+
     @cached_property
     def patterns(self) -> tuple[OrdinalPattern, ...]:
         """The distinct patterns, all decoded at once, in lexicographic order."""
-        digits = iter(decode_perm_rows(self._unique[0], self.config.m).ravel().tolist())
+        digits = iter(decode_perm_rows(self.pattern_codes, self.config.m).ravel().tolist())
         return tuple(map(OrdinalPattern, zip(*[digits] * self.config.m)))
 
     @cached_property
     def shown(self) -> np.ndarray:
         """The dashed text of each of ``patterns`` under ``config.ranking``, as an object array to index."""
         m = self.config.m
-        rows = decode_perm_rows(self._unique[0], m)
+        rows = decode_perm_rows(self.pattern_codes, m)
         if self.config.ranking == "amplitude":  # see chron_to_amplitude
             rows = m - rows.argsort(axis=1)
         text = ("-".join(["%d"] * m) + "\n") * len(rows) % tuple(rows.ravel().tolist())

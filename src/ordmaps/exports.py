@@ -9,8 +9,10 @@ columns to int, so they read 0/1. Rows are rendered by
 distinct float formatted once per chunk. A writer that shows patterns takes
 the symbol sequence and indexes its column ``shown``, the dash-joined text of
 each distinct pattern under the sequence's ranking, rendered once per
-sequence; reports and networks are indexed like ``seq.patterns``. Every file
-carries a header row and rows follow a fixed order, so identical inputs
+sequence. The partition table and the network carry the sequence they were
+built from, are indexed like ``shown``, and are refused with any other
+sequence; their columns are written as they are, with no row objects. Every
+file carries a header row and rows follow a fixed order, so identical inputs
 produce identical bytes.
 """
 
@@ -21,7 +23,7 @@ import numpy as np
 from .encoding import SymbolSequence
 from .levels import LevelNetwork
 from .network import TransitionCounts, occupancy
-from .ranking import PartitionReport
+from .ranking import PartitionTable
 from .returnmaps import ReturnMap, diagonal_split, wing_split
 from .series import TimeSeries, dump_series, write_rows
 
@@ -35,14 +37,10 @@ def _write_columns(path, header: list[str], columns: list[np.ndarray]) -> None:
         write_rows(fh, columns)
 
 
-def _report_column(reports: list[PartitionReport], attr: str, dtype) -> np.ndarray:
-    return np.array([getattr(r, attr) for r in reports], dtype=dtype)
-
-
-def _check_patterns(seq: SymbolSequence, patterns, what: str) -> None:
-    """``seq.shown`` labels rows indexed like ``seq.patterns``; refuse anything else."""
-    if list(patterns) != list(seq.patterns):
-        raise ValueError(f"{what} must follow seq.patterns one to one")
+def _check_owner(seq: SymbolSequence, built, what: str) -> None:
+    """``seq.shown`` labels the rows of what was built from seq; refuse anything else."""
+    if built.seq is not seq:
+        raise ValueError(f"{what} was built from another symbol sequence")
 
 
 def write_symbols_csv(seq: SymbolSequence, path) -> None:
@@ -55,48 +53,46 @@ PARTITION_COLUMNS = [
 ]
 
 
-def write_partitions_csv(seq: SymbolSequence, reports: list[PartitionReport], path) -> None:
-    """One row per partition in pattern order; ``reports`` as :func:`analyze_partitions` returns them."""
-    _check_patterns(seq, (r.pattern for r in reports), "reports")
-    columns = [seq.shown]
-    for attr, dtype in (
-        ("occurrence", np.int64),
-        ("entries", np.int64),
-        ("occurrence_share", np.float64),
-        ("entry_share", np.float64),
-        ("entropy", np.float64),
-        ("weighted_entropy", np.float64),
-        ("transition_entropy", np.float64),
-        ("weighted_level", np.int64),
-        ("transition_level", np.int64),
-        ("degenerate", np.int64),
-    ):
-        columns.append(_report_column(reports, attr, dtype))
+def write_partitions_csv(seq: SymbolSequence, table: PartitionTable, path) -> None:
+    """One row per partition in pattern order; ``table`` is :func:`partition_table` of seq."""
+    _check_owner(seq, table, "table")
+    columns = [
+        seq.shown,
+        table.occurrence,
+        table.entries,
+        table.occurrence_share,
+        table.entry_share,
+        table.entropy,
+        table.weighted_entropy,
+        table.transition_entropy,
+        table.weighted_level,
+        table.transition_level,
+        table.degenerate.astype(np.int64),
+    ]
     _write_columns(path, PARTITION_COLUMNS, columns)
 
 
-def write_entropy_curve_csv(seq: SymbolSequence, reports: list[PartitionReport], path) -> None:
+def write_entropy_curve_csv(seq: SymbolSequence, table: PartitionTable, path) -> None:
     """Both weighted entropies ranked by the transition-weighted one, as :func:`rank_partitions` ranks.
 
-    ``reports`` as :func:`analyze_partitions` returns them.
+    ``table`` is :func:`partition_table` of seq.
     """
-    _check_patterns(seq, (r.pattern for r in reports), "reports")
-    h_wt = _report_column(reports, "transition_entropy", np.float64)
-    ranked = np.argsort(-h_wt, kind="stable")  # ties keep pattern order
+    _check_owner(seq, table, "table")
+    ranked = np.argsort(-table.transition_entropy, kind="stable")  # ties keep pattern order
     columns = [
         np.arange(1, len(ranked) + 1),
         seq.shown[ranked],
-        h_wt[ranked],
-        _report_column(reports, "weighted_entropy", np.float64)[ranked],
-        _report_column(reports, "transition_level", np.int64)[ranked],
-        _report_column(reports, "weighted_level", np.int64)[ranked],
+        table.transition_entropy[ranked],
+        table.weighted_entropy[ranked],
+        table.transition_level[ranked],
+        table.weighted_level[ranked],
     ]
     _write_columns(path, ["rank", "pattern", "h_wt", "h_w", "level_wt", "level_w"], columns)
 
 
 def write_opn_edges_csv(seq: SymbolSequence, tc: TransitionCounts, path) -> None:
     """The non-zero edges of ``build_opn(seq)`` in row-major order."""
-    _check_patterns(seq, tc.patterns, "tc.patterns")
+    _check_owner(seq, tc, "tc")
     columns = [seq.shown[tc.source], seq.shown[tc.target], tc.count]
     _write_columns(path, ["from_pattern", "to_pattern", "count"], columns)
 

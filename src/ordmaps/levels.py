@@ -8,7 +8,7 @@ import numpy as np
 
 from .encoding import SymbolSequence
 from .errors import PatternAbsentError, TooShortError
-from .ranking import LEVEL_KEYS, PartitionReport
+from .ranking import LEVEL_KEYS, PartitionReport, PartitionTable
 
 
 @dataclass(eq=False)
@@ -26,11 +26,19 @@ class LevelNetwork:
 
 
 def level_sequence(
-    seq: SymbolSequence, reports: list[PartitionReport], by: str = "transition_level"
+    seq: SymbolSequence, reports: PartitionTable | list[PartitionReport], by: str = "transition_level"
 ) -> np.ndarray:
-    """Map every window to the level of its partition."""
+    """Map every window to the level of its partition.
+
+    ``reports`` is the :class:`PartitionTable` of ``seq``, or report rows
+    that cover every occurring pattern.
+    """
     if by not in LEVEL_KEYS:
         raise ValueError(f"by must be one of {LEVEL_KEYS}, got {by!r}")
+    if isinstance(reports, PartitionTable):
+        if reports.seq is not seq:
+            raise ValueError("the partition table belongs to another symbol sequence")
+        return getattr(reports, by)[seq.inverse]
     level_of = {r.pattern: getattr(r, by) for r in reports}
     try:
         levels = np.array([level_of[pattern] for pattern in seq.patterns], dtype=np.int64)
@@ -40,7 +48,7 @@ def level_sequence(
 
 
 def entry_level_sequence(
-    seq: SymbolSequence, reports: list[PartitionReport], by: str = "transition_level"
+    seq: SymbolSequence, reports: PartitionTable | list[PartitionReport], by: str = "transition_level"
 ) -> np.ndarray:
     """Level labels restricted to entry events (first window of each run)."""
     return level_sequence(seq, reports, by)[seq.entries]

@@ -6,7 +6,8 @@ symbols go from pattern i to pattern j, self-loops included, so the counts
 total one less than the number of symbols. Only the non-zero edges are
 stored, as parallel arrays in row-major order: n symbols make at most n - 1
 of them, while a P x P matrix would grow with the square of the number P of
-distinct patterns.
+distinct patterns. The network carries the symbol sequence it counts, and its
+nodes are that sequence's pattern indices, so building it decodes no pattern.
 
 The occupancy of pattern i is its row-sum share
 
@@ -31,12 +32,20 @@ from .errors import TooShortError
 
 @dataclass(eq=False)
 class TransitionCounts:
-    """Edge k goes ``count[k]`` times from ``patterns[source[k]]`` to ``patterns[target[k]]``, row-major."""
+    """Edge k goes ``count[k]`` times from ``patterns[source[k]]`` to ``patterns[target[k]]``, row-major.
 
-    patterns: list[OrdinalPattern]
+    Nodes are indexed like ``seq.patterns`` and ``seq.shown``; ``patterns``
+    decodes them only when read.
+    """
+
+    seq: SymbolSequence
     source: np.ndarray
     target: np.ndarray
     count: np.ndarray
+
+    @property
+    def patterns(self) -> tuple[OrdinalPattern, ...]:
+        return self.seq.patterns
 
     def total(self) -> int:
         return int(self.count.sum())
@@ -50,15 +59,15 @@ def _check_transitions(seq: SymbolSequence) -> None:
 def build_opn(seq: SymbolSequence) -> TransitionCounts:
     """Count consecutive symbol transitions, self-loops included."""
     _check_transitions(seq)
-    k = len(seq.patterns)
+    k = len(seq.pattern_codes)
     edges, count = np.unique(seq.inverse[:-1] * k + seq.inverse[1:], return_counts=True)
-    return TransitionCounts(list(seq.patterns), edges // k, edges % k, count)
+    return TransitionCounts(seq, edges // k, edges % k, count)
 
 
 def occupancy(seq: SymbolSequence) -> np.ndarray:
     """Row-sum share of each of ``seq.patterns``, without building the network."""
     _check_transitions(seq)
-    return np.bincount(seq.inverse[:-1], minlength=len(seq.patterns)) / (len(seq) - 1)
+    return np.bincount(seq.inverse[:-1], minlength=len(seq.pattern_codes)) / (len(seq) - 1)
 
 
 def permutation_entropy(occupancy: np.ndarray) -> float:

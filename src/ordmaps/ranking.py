@@ -29,12 +29,21 @@ in pattern order and symbolized once with a slide of 1. A secondary window
 counts for its partition when it starts in phase with the sub-series' own
 slide w and the next in-phase window still ends inside that sub-series: the
 last window is left out, as p_i is the row-sum occupancy (see ``network``).
-Windows that straddle two sub-series never count.
+Windows that straddle two sub-series never count. The entropy terms of the
+partitions that have the same number of terms are summed as one batch, each
+partition's terms added in the order a sum over that partition alone takes.
 
 Sorting partitions by a weighted entropy typically shows plateaus
 separated by sharp drops. :func:`detect_levels` formalizes that: split the
 descending list at the largest consecutive gaps exceeding
 ``gap_fraction * top_value``, using at most ``max_levels`` groups (see :class:`LevelConfig`).
+
+:func:`partition_table` returns every partition as columns, a
+:class:`PartitionTable` indexed like ``seq.shown``, with no object per
+partition; the CLI and the writers read it. :func:`analyze_partitions` turns
+the table into one :class:`PartitionReport` per partition, and
+:func:`weighted_entropies` measures one partition with the same kernel.
+:func:`rank_partitions` and :func:`assign_levels` work on such rows.
 """
 
 from __future__ import annotations
@@ -128,40 +137,106 @@ def _occurring_windows(seq: SymbolSequence, pattern: OrdinalPattern) -> np.ndarr
     return windows
 
 
-def _measure(series: TimeSeries, seq: SymbolSequence, patterns, groups, sub_cfg) -> list[PartitionReport]:
-    """Report on the partitions whose window indices are ``groups``, all in one pass."""
+def _measure(series: TimeSeries, seq: SymbolSequence, order, occurrence, sub_cfg) -> dict[str, np.ndarray]:
+    """Columns of the partitions whose windows are ``order``, in runs of ``occurrence``, all in one pass.
+
+    The levels are 1 until :func:`partition_table` sets them.
+    """
     sub_cfg = sub_cfg or SubSeriesConfig()
-    order = np.concatenate(groups)
-    occurrence = np.array([len(g) for g in groups])
-    owner = np.repeat(np.arange(len(groups)), occurrence)
+    count = len(occurrence)
+    owner = np.repeat(np.arange(count), occurrence)
     offset = np.arange(len(order)) - np.repeat(np.cumsum(occurrence) - occurrence, occurrence)
     span = sub_cfg.window().span
     counted = (offset % sub_cfg.w == 0) & (offset + span + sub_cfg.w < occurrence[owner])
     entered = seq.entries[order]
-    entries = np.bincount(owner[entered], minlength=len(groups))
+    entries = np.bincount(owner[entered], minlength=count)
     shares = np.array([occurrence / len(seq), entries / seq.entry_count])
-    sums = np.zeros((len(groups), 3))
+    sums = np.zeros((3, count))
     if counted.any():
         sub = TimeSeries(series.samples[seq.start_indices[order]], series.dt)
         codes = symbolize(sub, replace(sub_cfg.window(), w=1)).codes[counted[: len(order) - span]]
         secondary, dense = np.unique(codes, return_inverse=True)
-        pair, count = np.unique(owner[counted] * len(secondary) + dense, return_counts=True)
+        pair, pairs = np.unique(owner[counted] * len(secondary) + dense, return_counts=True)
         row = pair // len(secondary)  # pairs sorted by partition, then by secondary pattern
-        p = count / np.bincount(owner[counted])[row]
+        p = pairs / np.bincount(owner[counted])[row]
         log_p = np.log2(p)
         # math.log2 of each share, and a numpy sum over each partition's own
         # terms, round exactly as the one-partition formulas do
         log_shares = np.array([[math.log2(k) for k in ks] for ks in shares.tolist()])
         terms = np.stack([p * log_p, *(k[row] * p * (log_p + log_k[row]) for k, log_k in zip(shares, log_shares))])
-        blocks = np.split(terms, np.cumsum(np.bincount(row, minlength=len(groups)))[:-1], axis=1)
-        sums = np.array([block.sum(axis=1) for block in blocks])
-    entry_indices = np.split(seq.start_indices[order[entered]], np.cumsum(entries)[:-1])
-    return [
-        PartitionReport(pattern, o, e, k, k_hat, h, h_w, h_wt, idx, o < sub_cfg.min_samples())
-        for pattern, o, e, k, k_hat, (h, h_w, h_wt), idx in zip(
-            patterns, occurrence.tolist(), entries.tolist(), *shares.tolist(), (-sums + 0.0).tolist(), entry_indices
-        )
-    ]
+        lengths = np.bincount(row, minlength=count)
+        first = np.cumsum(lengths) - lengths
+        for length in np.unique(lengths[lengths > 0]).tolist():
+            which = np.flatnonzero(lengths == length)
+            # summed over a C-contiguous last axis, each row adds up pairwise
+            # exactly as its own terms[:, a:b].sum(axis=1) would
+            block = np.ascontiguousarray(terms[:, first[which, None] + np.arange(length)])
+            sums[:, which] = block.sum(axis=2)
+    entropy, weighted_entropy, transition_entropy = -sums + 0.0
+    return {
+        "occurrence": occurrence,
+        "entries": entries,
+        "occurrence_share": shares[0],
+        "entry_share": shares[1],
+        "entropy": entropy,
+        "weighted_entropy": weighted_entropy,
+        "transition_entropy": transition_entropy,
+        "degenerate": occurrence < sub_cfg.min_samples(),
+        "weighted_level": np.ones(count, dtype=np.int64),
+        "transition_level": np.ones(count, dtype=np.int64),
+        "entry_starts": seq.start_indices[order[entered]],
+        "entry_offsets": np.concatenate([[0], np.cumsum(entries)]),
+    }
+
+
+_MEASURED = (
+    "occurrence", "entries", "occurrence_share", "entry_share",
+    "entropy", "weighted_entropy", "transition_entropy",
+)
+
+
+def _reports(patterns, columns: dict) -> list[PartitionReport]:
+    """One report per row of the columns, field by field as :class:`PartitionReport` orders them."""
+    rows = zip(
+        patterns,
+        *(columns[name].tolist() for name in _MEASURED),
+        np.split(columns["entry_starts"], columns["entry_offsets"][1:-1]),
+        *(columns[name].tolist() for name in ("degenerate", "weighted_level", "transition_level")),
+    )
+    return [PartitionReport(*row) for row in rows]
+
+
+@dataclass(frozen=True, eq=False)
+class PartitionTable:
+    """Every occurring partition of ``seq`` as columns, one array per :class:`PartitionReport` field.
+
+    Row i is the partition of ``seq.patterns[i]``, shown as ``seq.shown[i]``.
+    The entry start indices of all partitions lie end to end in
+    ``entry_starts``, row i's from ``entry_offsets[i]`` up to
+    ``entry_offsets[i + 1]``.
+    """
+
+    seq: SymbolSequence = field(repr=False)
+    occurrence: np.ndarray
+    entries: np.ndarray
+    occurrence_share: np.ndarray
+    entry_share: np.ndarray
+    entropy: np.ndarray
+    weighted_entropy: np.ndarray
+    transition_entropy: np.ndarray
+    degenerate: np.ndarray
+    weighted_level: np.ndarray
+    transition_level: np.ndarray
+    entry_starts: np.ndarray = field(repr=False)
+    entry_offsets: np.ndarray = field(repr=False)
+
+    def entry_indices(self, i: int) -> np.ndarray:
+        """Start indices of the windows that enter partition i."""
+        return self.entry_starts[self.entry_offsets[i] : self.entry_offsets[i + 1]]
+
+    def reports(self) -> list[PartitionReport]:
+        """The rows, in pattern order, as :func:`analyze_partitions` returns them."""
+        return _reports(self.seq.patterns, vars(self))
 
 
 def weighted_entropies(
@@ -171,7 +246,8 @@ def weighted_entropies(
     sub_cfg: SubSeriesConfig | None = None,
 ) -> PartitionReport:
     """Measure one partition: shares, sub-series entropy, weighted variants."""
-    return _measure(series, seq, [pattern], [_occurring_windows(seq, pattern)], sub_cfg)[0]
+    windows = _occurring_windows(seq, pattern)
+    return _reports([pattern], _measure(series, seq, windows, np.array([windows.size]), sub_cfg))[0]
 
 
 RANK_KEYS = ("weighted_entropy", "transition_entropy")
@@ -197,7 +273,11 @@ def detect_levels(
     Labels start at 1 for the highest-entropy group. The grouping is
     invariant under rescaling all entropies by a positive constant.
     """
-    e = np.asarray(list(sorted_entropies), dtype=np.float64)
+    return _level_labels(np.asarray(list(sorted_entropies), dtype=np.float64), gap_fraction, max_levels).tolist()
+
+
+def _level_labels(e: np.ndarray, gap_fraction: float, max_levels: int) -> np.ndarray:
+    """:func:`detect_levels` on an array, as an int64 array."""
     if e.size == 0:
         raise ValueError("entropy list is empty")
     LevelConfig(gap_fraction, max_levels)
@@ -210,7 +290,7 @@ def detect_levels(
     labels = np.ones(e.size, dtype=np.int64)
     for boundary in sorted(chosen):
         labels[boundary + 1 :] += 1
-    return [int(v) for v in labels]
+    return labels
 
 
 def assign_levels(
@@ -226,6 +306,22 @@ def assign_levels(
     return reports
 
 
+def partition_table(
+    series: TimeSeries,
+    seq: SymbolSequence,
+    sub_cfg: SubSeriesConfig | None = None,
+    levels: LevelConfig | None = None,
+) -> PartitionTable:
+    """Measure and level every occurring partition in one pass, indexed like ``seq.shown``."""
+    levels = levels or LevelConfig()
+    columns = _measure(series, seq, np.argsort(seq.inverse, kind="stable"), np.bincount(seq.inverse), sub_cfg)
+    for by, attr in zip(RANK_KEYS, LEVEL_KEYS):
+        # rows are in pattern order, so a stable sort ranks as rank_partitions does
+        ranked = np.argsort(-columns[by], kind="stable")
+        columns[attr][ranked] = _level_labels(columns[by][ranked], levels.gap_fraction, levels.max_levels)
+    return PartitionTable(seq, **columns)
+
+
 def analyze_partitions(
     series: TimeSeries,
     seq: SymbolSequence,
@@ -233,4 +329,4 @@ def analyze_partitions(
     levels: LevelConfig | None = None,
 ) -> list[PartitionReport]:
     """Report on every occurring partition, levels assigned, in pattern order."""
-    return assign_levels(_measure(series, seq, seq.patterns, seq.windows, sub_cfg), levels)
+    return partition_table(series, seq, sub_cfg, levels).reports()

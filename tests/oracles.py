@@ -4,14 +4,17 @@ Everything here favours obviousness over speed: per-window python sorts,
 dict counters and direct formula transcription. Tests freeze oracle
 outputs or compare package results against them; the package never
 imports this module, which borrows only the package's error types and
-series container.
+series container, and for :func:`partition_reports` its report row,
+configs and ``symbolize``.
 """
 
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 
+from ordmaps import encoding, ranking
 from ordmaps.errors import ConfigError, ParseError, TooShortError
 from ordmaps.series import TimeSeries
 
@@ -200,6 +203,54 @@ def levels(sorted_vals, gap_fraction=0.15, max_levels=3):
         if i in cuts:
             level += 1
     return labels
+
+
+def partition_reports(series, seq, sub_cfg=None, level_cfg=None):
+    """Every partition's report, one object and one entropy sum per partition.
+
+    The per-partition path that ``ordmaps.ranking.partition_table`` replaced:
+    windows split by pattern, terms and entry indices split per partition,
+    each block summed on its own, and levels set report by report after two
+    key sorts.
+    """
+    sub_cfg = sub_cfg or ranking.SubSeriesConfig()
+    level_cfg = level_cfg or ranking.LevelConfig()
+    groups = seq.windows
+    order = np.concatenate(groups)
+    occurrence = np.array([len(g) for g in groups])
+    owner = np.repeat(np.arange(len(groups)), occurrence)
+    offset = np.arange(len(order)) - np.repeat(np.cumsum(occurrence) - occurrence, occurrence)
+    span = sub_cfg.window().span
+    counted = (offset % sub_cfg.w == 0) & (offset + span + sub_cfg.w < occurrence[owner])
+    entered = seq.entries[order]
+    entries = np.bincount(owner[entered], minlength=len(groups))
+    shares = np.array([occurrence / len(seq), entries / seq.entry_count])
+    sums = np.zeros((len(groups), 3))
+    if counted.any():
+        sub = TimeSeries(series.samples[seq.start_indices[order]], series.dt)
+        codes = encoding.symbolize(sub, replace(sub_cfg.window(), w=1)).codes[counted[: len(order) - span]]
+        secondary, dense = np.unique(codes, return_inverse=True)
+        pair, count = np.unique(owner[counted] * len(secondary) + dense, return_counts=True)
+        row = pair // len(secondary)
+        p = count / np.bincount(owner[counted])[row]
+        log_p = np.log2(p)
+        log_shares = np.array([[math.log2(k) for k in ks] for ks in shares.tolist()])
+        terms = np.stack([p * log_p, *(k[row] * p * (log_p + log_k[row]) for k, log_k in zip(shares, log_shares))])
+        blocks = np.split(terms, np.cumsum(np.bincount(row, minlength=len(groups)))[:-1], axis=1)
+        sums = np.array([block.sum(axis=1) for block in blocks])
+    entry_indices = np.split(seq.start_indices[order[entered]], np.cumsum(entries)[:-1])
+    reports = [
+        ranking.PartitionReport(pattern, o, e, k, k_hat, h, h_w, h_wt, idx, o < sub_cfg.min_samples())
+        for pattern, o, e, k, k_hat, (h, h_w, h_wt), idx in zip(
+            seq.patterns, occurrence.tolist(), entries.tolist(), *shares.tolist(), (-sums + 0.0).tolist(), entry_indices
+        )
+    ]
+    for by, attr in zip(ranking.RANK_KEYS, ranking.LEVEL_KEYS):
+        ranked = sorted(reports, key=lambda r: (-getattr(r, by), r.pattern.perm))
+        labels = levels([getattr(r, by) for r in ranked], level_cfg.gap_fraction, level_cfg.max_levels)
+        for report, label in zip(ranked, labels):
+            setattr(report, attr, label)
+    return reports
 
 
 def lorenz(sigma, rho, beta, state, dt, total_points):

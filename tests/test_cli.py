@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import os
 import subprocess
 import sys
 import typing
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 import ordmaps as om
-from ordmaps import cli, manifest
+from ordmaps import cli, encoding, manifest, ranking
 
 
 @pytest.fixture()
@@ -25,9 +26,12 @@ def _run(argv):
 
 
 def test_version_subprocess():
+    # the child finds this ordmaps whether or not it is installed or on PYTHONPATH
+    path = [str(Path(om.__file__).parents[1]), *filter(None, [os.environ.get("PYTHONPATH")])]
     out = subprocess.run(
         [sys.executable, "-m", "ordmaps", "--version"],
         capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(path)},
     )
     assert out.stdout.strip() == f"ordmaps {om.__version__}"
 
@@ -108,6 +112,49 @@ def test_analyze_cleanup_on_failure(tmp_path, capsys):
     assert rc == 1
     assert capsys.readouterr().err.startswith("error:")
     assert not out.exists()
+
+
+def test_writer_failure_removes_its_half_written_file(wiggly_file, tmp_path, capsys, monkeypatch):
+    def write_until_disk_full(seq, path):
+        Path(path).write_text("start_index,pattern\n0,")
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli, "write_symbols_csv", write_until_disk_full)
+    out = tmp_path / "analysis"
+    rc = _run(["analyze", wiggly_file, "--m", 2, "--tau", 1, "--out-dir", out])
+    assert rc == 1
+    assert "No space left on device" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_failure_removes_every_directory_the_run_made(tmp_path, capsys):
+    tiny = tmp_path / "tiny.csv"
+    om.dump_series(om.TimeSeries(np.array([1.0, 2.0, 1.0, 2.0, 3.0]), dt=1.0), tiny)
+    (tmp_path / "x").mkdir()
+    (tmp_path / "x" / "keep.txt").write_text("not the run's\n")
+    rc = _run(["frm", tiny, "--m", 2, "--tau", 1, "--level", 3, "--out-dir", tmp_path / "x" / "y" / "z"])
+    assert rc == 1
+    assert "no partition at level 3" in capsys.readouterr().err
+    assert sorted(p.name for p in (tmp_path / "x").iterdir()) == ["keep.txt"]
+    rc = _run(["frm", tiny, "--m", 2, "--tau", 1, "--level", 3, "--out-dir", tmp_path / "a" / "b" / "c"])
+    assert rc == 1
+    assert not (tmp_path / "a").exists()
+
+
+def test_analyze_builds_no_object_per_partition(tmp_path, monkeypatch):
+    noise = tmp_path / "noise.csv"
+    om.dump_series(om.TimeSeries(np.random.default_rng(3).standard_normal(3000), dt=1.0), noise)
+    built = []
+    for cls in (encoding.OrdinalPattern, ranking.PartitionReport):
+        def counted(self, *args, __init__=cls.__init__, **kwargs):
+            built.append(type(self).__name__)
+            __init__(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+    rc = _run(["analyze", noise, "--m", 7, "--tau", 1, "--out-dir", tmp_path / "out"])
+    assert rc == 0
+    assert len((tmp_path / "out" / "partitions.csv").read_text().splitlines()) > 1000
+    assert built == []
 
 
 def test_frm_maxima_mode(wiggly_file, tmp_path):

@@ -82,6 +82,10 @@ CASES = {
     # 120 partitions, none degenerate, most with entropy sums of more than 8 terms
     "analyze-noise-sub": ["analyze", "NOISE", "--m", 5, "--tau", 1, "--sub-m", 4, "--sub-tau", 2, "--sub-w", 2],
     "levels-noise-m6": ["levels", "NOISE", "--m", 6, "--tau", 1, "--per-entry"],
+    # 3,210 partitions, 3,114 of them degenerate, with 5 distinct h_wt: ties in ranks and levels
+    "analyze-noise-m7": ["analyze", "NOISE", "--m", 7, "--tau", 1],
+    # 64 return maps, each sliced from the entry offsets
+    "frm-noise-level": ["frm", "NOISE", "--m", 6, "--tau", 1, "--level", 2],
     "embed-noise-m5": ["embed", "NOISE", "--m", 5, "--tau", 1, "--dim", 3, "--lag", 2, "--color", "level"],
     "embed-signed-zeros": ["embed", "ZEROS", "--m", 3, "--dim", 3, "--lag", 1],
     "pipeline-signed-zeros": ["pipeline", "ZEROS"],
@@ -91,6 +95,7 @@ GOLDEN = {
     "analyze": "4d1a633871faa43bdabd88b76ba9f3870c2584d6842dd5a7a33c84154e7ad460",
     "analyze-amplitude": "486b24e6a762627196f57f06ac54e6945fcb7be9cc81053eb6389f319db23298",
     "analyze-noise-sub": "ae13563c306c7f9c0d63d0ea8dc759eafa94b5843caea13a23ab6205b481e60f",
+    "analyze-noise-m7": "a93904105032e73d7fe382adadace65ec3b8bb5c2b5deb272b1c9321cc28c649",
     "analyze-noise-m6": "e71fb5d8254623ebcbaf1541cce5fe696f82d910940b752f335bdadf0b503efb",
     "analyze-flags": "d63a0f883b9fd6af650d188680eb6ec87cec8e792d376c4bf9320501df69383f",
     "analyze-whitespace": "fe003c22819963ccdfb070ad8420c117998da8974fb27b5daffad7d7a673c428",
@@ -102,6 +107,7 @@ GOLDEN = {
     "embed-pattern": "1fb8ffd0062212486055afe1f505bc6b495995fe63e2caa71d7e99aa6b1c7170",
     "embed-tau": "79206933aa23c6a20638085656922674fa0600b50c718a67de3e5f902bd98bb5",
     "frm-level": "8e88208adfff6a4fd9d964fa5290c5c2fbf79f3948603f4e59a5b826d1ec52ef",
+    "frm-noise-level": "af0f662fac047f6b34d91d086ce3a96e11fe86d80a67be2797788b1b444a9f41",
     "frm-level-weighted": "cc31a31ec8d0e2bbaff8455f2a540976dfc9169023aacc26560616784dadc1ef",
     "frm-maxima": "5000ce77e0bb6d716ea931199480d30a53fb0e79ec000790fc00ec1943ed7d60",
     "frm-maxima-sign-split": "0aff61181240eb341411c205d3f573e33b8d8f347b72037cb254bf128e8ca0bf",

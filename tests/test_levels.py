@@ -52,6 +52,17 @@ def test_entry_level_sequence_compresses_runs():
     assert om.entry_level_sequence(seq, reports).tolist() == [1, 2, 1]
 
 
+def test_level_sequence_of_a_table_matches_its_rows(lorenz_series, lorenz_analysis):
+    seq, reports = lorenz_analysis
+    table = om.partition_table(lorenz_series, seq)
+    for by in ("transition_level", "weighted_level"):
+        assert np.array_equal(om.level_sequence(seq, table, by), om.level_sequence(seq, reports, by))
+        assert np.array_equal(om.entry_level_sequence(seq, table, by), om.entry_level_sequence(seq, reports, by))
+    twin = om.symbolize(lorenz_series, seq.config)
+    with pytest.raises(ValueError, match="another symbol sequence"):
+        om.level_sequence(twin, table)
+
+
 def test_build_level_network_hand_case():
     net = om.build_level_network([1, 2, 1, 1, 3])
     assert net.levels == 3

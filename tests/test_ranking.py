@@ -304,3 +304,69 @@ def test_level_config_holds_detector_defaults_and_checks():
 def test_subseries_config_checks_its_window():
     with pytest.raises(om.ConfigError, match="m must lie"):
         om.SubSeriesConfig(m=1)
+
+
+def _assert_table_is_oracle(ts, seq, sub=None, levels=None):
+    """Every column of the table, and every field of its rows, bitwise as the per-partition oracle."""
+    table = om.partition_table(ts, seq, sub, levels)
+    want = oracles.partition_reports(ts, seq, sub, levels)
+    assert table.seq is seq
+    for name in ("occurrence", "entries", "occurrence_share", "entry_share", "entropy",
+                 "weighted_entropy", "transition_entropy", "degenerate", *LEVEL_KEYS):
+        column = getattr(table, name)
+        assert column.shape == (len(want),), name
+        assert column.tobytes() == np.array([getattr(r, name) for r in want], dtype=column.dtype).tobytes(), name
+    assert table.entry_offsets.tolist() == np.cumsum([0] + [len(r.entry_indices) for r in want]).tolist()
+    assert np.array_equal(table.entry_starts, np.concatenate([r.entry_indices for r in want]))
+    got = table.reports()
+    assert [r.pattern for r in got] == list(seq.patterns)
+    for mine, theirs in zip(got, want, strict=True):
+        assert mine.entry_indices.dtype == theirs.entry_indices.dtype
+        assert np.array_equal(mine.entry_indices, theirs.entry_indices)
+        # repr is exact for floats, keeps the sign of zero and names numpy scalar types
+        assert repr({**vars(mine), "entry_indices": None}) == repr({**vars(theirs), "entry_indices": None})
+    return table
+
+
+def test_partition_table_matches_oracle_on_tied_series(rng):
+    for m in range(3, 8):
+        for _ in range(4):
+            values = rng.integers(0, 4, size=int(rng.integers(200, 3000))).astype(float)
+            w = int(rng.integers(1, 3))
+            ts, seq = _analyzed(values, m=m, w=w)
+            _assert_table_is_oracle(ts, seq)
+
+
+def test_partition_table_matches_oracle_on_secondary_window_grid(rng):
+    widest = 0
+    for sub_m, sub_tau, sub_w in itertools.product((2, 3, 4, 5), (1, 2), (1, 2, 3)):
+        sub = om.SubSeriesConfig(m=sub_m, tau=sub_tau, w=sub_w)
+        levels = om.LevelConfig(gap_fraction=float(rng.uniform(0.02, 0.3)), max_levels=int(rng.integers(1, 5)))
+        for values in (rng.standard_normal(2000), rng.integers(0, 4, size=2000).astype(float)):
+            ts, seq = _analyzed(values, m=3)
+            table = _assert_table_is_oracle(ts, seq, sub, levels)
+            for i, pattern in enumerate(seq.patterns):
+                if not table.degenerate[i]:
+                    codes = om.symbolize(om.extract_subseries(ts, seq, pattern), sub.window()).codes
+                    widest = max(widest, len(np.unique(codes[:-1])))
+    assert widest > 8  # some entropy sums reach numpy's pairwise summation
+
+
+def test_partition_table_matches_oracle_when_degenerate_or_tied(rng):
+    cases = [
+        ([0, 3, 1, 2, 2, 0, 3, 1, 0, 2, 3], 3, None),  # every partition degenerate
+        ([2.0] * 40, 4, None),  # one pattern, one constant sub-series
+        ([0, 1] * 30, 5, None),  # two alternating patterns
+        (rng.integers(0, 2, size=500), 6, None),
+        (rng.integers(0, 2, size=300), 7, om.SubSeriesConfig(m=5, tau=2, w=3)),  # most partitions degenerate
+    ]
+    for values, m, sub in cases:
+        ts, seq = _analyzed(np.asarray(values, dtype=float), m=m)
+        table = _assert_table_is_oracle(ts, seq, sub)
+        assert table.entries.sum() == seq.entry_count
+
+
+def test_partition_table_matches_oracle_on_lorenz(lorenz_series, lorenz_analysis):
+    seq, reports = lorenz_analysis
+    table = _assert_table_is_oracle(lorenz_series, seq)
+    assert [table.entry_indices(i).tolist() for i in range(len(reports))] == [r.entry_indices.tolist() for r in reports]
