@@ -18,6 +18,12 @@ Patterns are stored canonically in chronological form (one hashable key
 per partition regardless of display scheme); the amplitude rendering is
 derived on demand via :func:`chron_to_amplitude`.
 
+:func:`symbolize` ranks the windows a block of :data:`BLOCK` windows at a
+time: each block is gathered into a BLOCK x m array, argsorted and encoded
+into its slice of the keys, so memory beyond the keys themselves stays at
+one block however long the series. :func:`encode_windows` is that loop, for
+any window starts; the secondary pass of ``ranking`` calls it too.
+
 A :class:`SymbolSequence` decodes its distinct keys once, as one array of
 digit rows, and renders the dashed text of every distinct pattern under its
 own ranking once, as the column ``shown`` that every writer indexes.
@@ -27,7 +33,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -35,6 +41,9 @@ from .errors import ConfigError, TooShortError
 from .series import TimeSeries
 
 RANKINGS = ("amplitude", "chronological")
+
+BLOCK = 1 << 14
+"""Windows per block of every pass over the windows: symbolizing, and measuring the partitions."""
 
 
 @dataclass(frozen=True, order=True)
@@ -143,17 +152,30 @@ def window_count(n: int, cfg: WindowConfig) -> int:
     return (n - cfg.span - 1) // cfg.w + 1
 
 
-def encode_perm_rows(rows: np.ndarray) -> np.ndarray:
-    """Pack permutation rows into int64 keys preserving lexicographic order."""
-    m = rows.shape[1]
-    weights = (m + 1) ** np.arange(m - 1, -1, -1, dtype=np.int64)
-    return rows.astype(np.int64, copy=False) @ weights
+@cache
+def _powers(m: int) -> np.ndarray:
+    """The base-(m+1) place values of a key's m digits, most significant first."""
+    powers = (m + 1) ** np.arange(m - 1, -1, -1, dtype=np.int64)
+    powers.flags.writeable = False  # one array shared by every caller
+    return powers
+
+
+@cache
+def _offsets(span: int, tau: int) -> np.ndarray:
+    """The offsets of a window's samples from its start."""
+    offsets = np.arange(0, span + 1, tau, dtype=np.int64)
+    offsets.flags.writeable = False  # one array shared by every caller
+    return offsets
+
+
+def encode_perm_rows(rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Pack permutation rows into int64 keys preserving lexicographic order, into ``out`` if given."""
+    return np.matmul(rows.astype(np.int64, copy=False), _powers(rows.shape[1]), out=out)
 
 
 def decode_perm_rows(codes: np.ndarray, m: int) -> np.ndarray:
     """Inverse of :func:`encode_perm_rows`: the m digits of each key, one row per key."""
-    powers = (m + 1) ** np.arange(m - 1, -1, -1, dtype=np.int64)
-    return codes[:, None] // powers % (m + 1)
+    return codes[:, None] // _powers(m) % (m + 1)
 
 
 def pattern_code(pattern: OrdinalPattern) -> int:
@@ -262,6 +284,22 @@ class SymbolSequence:
         return self.patterns[self.inverse[k]]
 
 
+def encode_windows(samples: np.ndarray, starts: np.ndarray, cfg: WindowConfig) -> np.ndarray:
+    """The key of the window of ``cfg`` that starts at each of ``starts``, ranked a block of windows at a time.
+
+    A block of BLOCK windows is gathered, argsorted and encoded into its slice
+    of the result, so no array of n * m values is ever held.
+    """
+    offsets = _offsets(cfg.span, cfg.tau)
+    codes = np.empty(len(starts), dtype=np.int64)
+    for lo in range(0, len(starts), BLOCK):
+        # a stable argsort gives the earlier index the smaller rank on ties
+        order = samples[starts[lo : lo + BLOCK, None] + offsets].argsort(axis=1, kind="stable")
+        order += 1
+        encode_perm_rows(order, out=codes[lo : lo + BLOCK])
+    return codes
+
+
 def symbolize(series: TimeSeries, cfg: WindowConfig | None = None) -> SymbolSequence:
     """Slide windows over the series and rank each one.
 
@@ -274,13 +312,10 @@ def symbolize(series: TimeSeries, cfg: WindowConfig | None = None) -> SymbolSequ
         raise TooShortError(
             f"need at least {cfg.span + 1} samples for m={cfg.m}, tau={cfg.tau}; got {n}"
         )
-    count = window_count(n, cfg)
-    starts = np.arange(0, count * cfg.w, cfg.w, dtype=np.int64)
-    offsets = np.arange(0, cfg.span + 1, cfg.tau, dtype=np.int64)
-    windows = series.samples[starts[:, None] + offsets[None, :]]
-    order = windows.argsort(axis=1, kind="stable")
-    codes = encode_perm_rows(order + 1)
-    return SymbolSequence(codes=codes, start_indices=starts, source_len=n, config=cfg)
+    starts = np.arange(0, window_count(n, cfg) * cfg.w, cfg.w, dtype=np.int64)
+    return SymbolSequence(
+        codes=encode_windows(series.samples, starts, cfg), start_indices=starts, source_len=n, config=cfg
+    )
 
 
 def distinct_patterns(seq: SymbolSequence) -> list[tuple[OrdinalPattern, int]]:

@@ -24,14 +24,22 @@ are not clamped even where a term goes negative.
 Partitions whose sub-series cannot host two secondary windows are flagged
 degenerate and given zero entropies.
 
-Every partition is measured in one pass. The sub-series are laid end to end
-in pattern order and symbolized once with a slide of 1. A secondary window
-counts for its partition when it starts in phase with the sub-series' own
-slide w and the next in-phase window still ends inside that sub-series: the
-last window is left out, as p_i is the row-sum occupancy (see ``network``).
-Windows that straddle two sub-series never count. The entropy terms of the
-partitions that have the same number of terms are summed as one batch, each
-partition's terms added in the order a sum over that partition alone takes.
+Every partition is measured in one pass over the windows, a block of
+``encoding.BLOCK`` windows at a time, so the pass allocates no array over
+all n windows: only arrays of one block, per-partition state, and the tally
+of pairs below. A block's windows are grouped by partition, and each
+partition's run is laid after the last samples of its sub-series from the
+blocks before, so the secondary windows ending in the block are ranked from
+the block's own samples. A secondary window counts for its
+partition when it starts in phase with the sub-series' own slide w and the
+next in-phase window still ends inside that sub-series: the last window is
+left out, as p_i is the row-sum occupancy (see ``network``). The counted
+windows are tallied per (partition, secondary pattern) pair, keeping only
+the pairs that occur. The entropy terms are then summed in partition-aligned
+blocks of at most ``BLOCK`` pairs (a partition with more pairs gets a block
+of its own), and within a block the partitions that have the same number of
+terms are summed as one batch, each partition's terms added in the order a
+sum over that partition alone takes.
 
 Sorting partitions by a weighted entropy typically shows plateaus
 separated by sharp drops. :func:`detect_levels` formalizes that: split the
@@ -42,7 +50,7 @@ descending list at the largest consecutive gaps exceeding
 :class:`PartitionTable` indexed like ``seq.shown``, with no object per
 partition; the CLI and the writers read it. :func:`analyze_partitions` turns
 the table into one :class:`PartitionReport` per partition, and
-:func:`weighted_entropies` measures one partition with the same kernel.
+:func:`weighted_entropies` is one row of the same measurement.
 :func:`rank_partitions` and :func:`assign_levels` work on such rows.
 """
 
@@ -53,7 +61,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .encoding import OrdinalPattern, SymbolSequence, WindowConfig, symbolize
+from .encoding import BLOCK, OrdinalPattern, SymbolSequence, WindowConfig, encode_windows, entry_mask
 from .errors import ConfigError, PatternAbsentError
 from .series import TimeSeries
 
@@ -137,42 +145,152 @@ def _occurring_windows(seq: SymbolSequence, pattern: OrdinalPattern) -> np.ndarr
     return windows
 
 
-def _measure(series: TimeSeries, seq: SymbolSequence, order, occurrence, sub_cfg) -> dict[str, np.ndarray]:
-    """Columns of the partitions whose windows are ``order``, in runs of ``occurrence``, all in one pass.
+def _runs(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For sorted labels: where each run of equal labels starts, its length, and each label's place in its run."""
+    first = np.flatnonzero(entry_mask(labels))
+    size = np.diff(first, append=len(labels))
+    return first, size, np.arange(len(labels)) - np.repeat(first, size)
+
+
+class _SubSeries:
+    """Every partition's sub-series, met a block of windows at a time.
+
+    A block's run of each partition is laid after the last ``span`` samples of
+    that sub-series from the blocks before, so every secondary window ending
+    in the block lies in the block's own samples.
+    """
+
+    def __init__(self, occurrence: np.ndarray, sub_cfg: SubSeriesConfig):
+        self.window = replace(sub_cfg.window(), w=1)
+        self.w = sub_cfg.w
+        self.occurrence = occurrence
+        self.seen = np.zeros(len(occurrence), dtype=np.int64)
+        self.tail = np.zeros((len(occurrence), self.window.span))
+
+    def secondary(self, label: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The partition and the code of every counted secondary window that ends at one of ``values``.
+
+        ``values`` are the block's sub-series samples, run by run as ``label`` sorts them.
+        """
+        span = self.window.span
+        first, size, rank = _runs(label)
+        part = label[first]
+        # the secondary window ending here starts span samples earlier in the
+        # sub-series; it counts when it starts in phase with the slide w and the
+        # next in-phase window still ends inside the sub-series
+        offset = self.seen[label] + rank
+        self.seen[part] += size
+        counted = (offset >= span) & ((offset - span) % self.w == 0) & (offset + self.w < self.occurrence[label])
+        del offset, rank
+        at = np.arange(len(label)) + span * (np.repeat(np.arange(len(part)), size) + 1)
+        held = (first + span * np.arange(len(part)))[:, None] + np.arange(span)
+        laid = np.empty(len(label) + span * len(part))
+        laid[at] = values
+        laid[held] = self.tail[part]
+        self.tail[part] = laid[held + size[:, None]]
+        if not counted.any():
+            return label[:0], at[:0]
+        return label[counted], encode_windows(laid, at[counted] - span, self.window)
+
+
+class _Tally:
+    """How many counted secondary windows each partition has of each secondary pattern.
+
+    Only the pairs that occur are kept, as ascending keys
+    ``partition * len(codes) + rank of the code in codes``, so the pairs run
+    by partition and then by secondary pattern.
+    """
+
+    def __init__(self):
+        self.codes = np.empty(0, dtype=np.int64)  # the secondary codes met so far, ascending
+        self.keys = np.empty(0, dtype=np.int64)
+        self.counts = np.empty(0, dtype=np.int64)
+
+    def add(self, owner: np.ndarray, codes: np.ndarray) -> None:
+        """Count one secondary window of code ``codes[i]`` for partition ``owner[i]``, for every i."""
+        grown = np.sort(np.concatenate([self.codes, codes]))
+        grown = grown[entry_mask(grown)]
+        if len(grown) > len(self.codes):  # re-key on the longer code list; the key order holds
+            row, rank = np.divmod(self.keys, max(len(self.codes), 1))
+            self.keys = row * len(grown) + np.searchsorted(grown, self.codes[rank])
+            self.codes = grown
+        new = np.sort(owner * len(self.codes) + np.searchsorted(self.codes, codes))
+        first = np.flatnonzero(entry_mask(new))
+        new, added = new[first], np.diff(first, append=len(new))
+        where = np.searchsorted(self.keys, new)
+        known = where < len(self.keys)
+        known[known] = self.keys[where[known]] == new[known]
+        self.counts[where[known]] += added[known]
+        self.keys = np.insert(self.keys, where[~known], new[~known])
+        self.counts = np.insert(self.counts, where[~known], added[~known])
+
+
+def _entropy_sums(tally: _Tally, counted: np.ndarray, shares: np.ndarray) -> np.ndarray:
+    """The sums of h, h_w and h_wt of every partition, as rows, in blocks of at most BLOCK pairs.
+
+    A block holds whole partitions, and a partition with more pairs has a block of its own.
+    """
+    # math.log2 of each share, and a numpy sum over each partition's own
+    # terms, round exactly as the one-partition formulas do
+    log_shares = np.array([[math.log2(k) for k in ks] for ks in shares.tolist()])
+    sums = np.zeros((3, len(counted)))
+    width = max(len(tally.codes), 1)
+    lengths = np.bincount(tally.keys // width, minlength=len(counted))  # pairs per partition
+    ends = np.cumsum(lengths)
+    lo = 0
+    while lo < len(lengths):
+        hi = max(int(np.searchsorted(ends, ends[lo] - lengths[lo] + BLOCK, side="right")), lo + 1)
+        pairs = slice(ends[lo] - lengths[lo], ends[hi - 1])
+        row = tally.keys[pairs] // width
+        p = tally.counts[pairs] / counted[row]
+        log_p = np.log2(p)
+        terms = np.stack([p * log_p, *(k[row] * p * (log_p + log_k[row]) for k, log_k in zip(shares, log_shares))])
+        first = np.cumsum(lengths[lo:hi]) - lengths[lo:hi]
+        for length in (np.flatnonzero(np.bincount(lengths[lo:hi])[1:]) + 1).tolist():
+            which = np.flatnonzero(lengths[lo:hi] == length)
+            # summed over a C-contiguous last axis, each row adds up pairwise
+            # exactly as its own terms[:, a:b].sum(axis=1) would
+            block = np.ascontiguousarray(terms[:, first[which, None] + np.arange(length)])
+            sums[:, lo + which] = block.sum(axis=2)
+        lo = hi
+    return sums
+
+
+def _measure(series: TimeSeries, seq: SymbolSequence, sub_cfg) -> dict[str, np.ndarray]:
+    """Columns of every partition of ``seq``, from one pass over its windows a block at a time.
 
     The levels are 1 until :func:`partition_table` sets them.
     """
     sub_cfg = sub_cfg or SubSeriesConfig()
-    count = len(occurrence)
-    owner = np.repeat(np.arange(count), occurrence)
-    offset = np.arange(len(order)) - np.repeat(np.cumsum(occurrence) - occurrence, occurrence)
-    span = sub_cfg.window().span
-    counted = (offset % sub_cfg.w == 0) & (offset + span + sub_cfg.w < occurrence[owner])
-    entered = seq.entries[order]
-    entries = np.bincount(owner[entered], minlength=count)
+    inverse, entered, starts = seq.inverse, seq.entries, seq.start_indices
+    count = len(seq.pattern_codes)
+    occurrence = np.bincount(inverse, minlength=count)
+    entries = np.zeros(count, dtype=np.int64)
+    for lo in range(0, len(seq), BLOCK):
+        entries += np.bincount(inverse[lo : lo + BLOCK][entered[lo : lo + BLOCK]], minlength=count)
+    entry_offsets = np.concatenate([[0], np.cumsum(entries)])
+    entry_starts = np.empty(entry_offsets[-1], dtype=starts.dtype)
+    placed = np.zeros(count, dtype=np.int64)  # entry starts written, per partition
+    counted = np.zeros(count, dtype=np.int64)  # secondary windows counted, per partition
+    subseries, tally = _SubSeries(occurrence, sub_cfg), _Tally()
+    for lo in range(0, len(seq), BLOCK):
+        piece = inverse[lo : lo + BLOCK]
+        # the block's windows by partition and then by index: the keys are
+        # distinct, so a plain sort orders them as a stable argsort would
+        label, window = np.divmod(np.sort(piece * BLOCK + np.arange(len(piece))), BLOCK)
+        window += lo
+        inside = entered[window]
+        entry_label = label[inside]
+        first, size, rank = _runs(entry_label)
+        entry_starts[entry_offsets[entry_label] + placed[entry_label] + rank] = starts[window[inside]]
+        placed[entry_label[first]] += size
+        del inside, entry_label, first, size, rank
+        owner, codes = subseries.secondary(label, series.samples[starts[window]])
+        if len(owner):
+            counted += np.bincount(owner, minlength=count)
+            tally.add(owner, codes)
     shares = np.array([occurrence / len(seq), entries / seq.entry_count])
-    sums = np.zeros((3, count))
-    if counted.any():
-        sub = TimeSeries(series.samples[seq.start_indices[order]], series.dt)
-        codes = symbolize(sub, replace(sub_cfg.window(), w=1)).codes[counted[: len(order) - span]]
-        secondary, dense = np.unique(codes, return_inverse=True)
-        pair, pairs = np.unique(owner[counted] * len(secondary) + dense, return_counts=True)
-        row = pair // len(secondary)  # pairs sorted by partition, then by secondary pattern
-        p = pairs / np.bincount(owner[counted])[row]
-        log_p = np.log2(p)
-        # math.log2 of each share, and a numpy sum over each partition's own
-        # terms, round exactly as the one-partition formulas do
-        log_shares = np.array([[math.log2(k) for k in ks] for ks in shares.tolist()])
-        terms = np.stack([p * log_p, *(k[row] * p * (log_p + log_k[row]) for k, log_k in zip(shares, log_shares))])
-        lengths = np.bincount(row, minlength=count)
-        first = np.cumsum(lengths) - lengths
-        for length in np.unique(lengths[lengths > 0]).tolist():
-            which = np.flatnonzero(lengths == length)
-            # summed over a C-contiguous last axis, each row adds up pairwise
-            # exactly as its own terms[:, a:b].sum(axis=1) would
-            block = np.ascontiguousarray(terms[:, first[which, None] + np.arange(length)])
-            sums[:, which] = block.sum(axis=2)
-    entropy, weighted_entropy, transition_entropy = -sums + 0.0
+    entropy, weighted_entropy, transition_entropy = -_entropy_sums(tally, counted, shares) + 0.0
     return {
         "occurrence": occurrence,
         "entries": entries,
@@ -184,8 +302,8 @@ def _measure(series: TimeSeries, seq: SymbolSequence, order, occurrence, sub_cfg
         "degenerate": occurrence < sub_cfg.min_samples(),
         "weighted_level": np.ones(count, dtype=np.int64),
         "transition_level": np.ones(count, dtype=np.int64),
-        "entry_starts": seq.start_indices[order[entered]],
-        "entry_offsets": np.concatenate([[0], np.cumsum(entries)]),
+        "entry_starts": entry_starts,
+        "entry_offsets": entry_offsets,
     }
 
 
@@ -246,8 +364,12 @@ def weighted_entropies(
     sub_cfg: SubSeriesConfig | None = None,
 ) -> PartitionReport:
     """Measure one partition: shares, sub-series entropy, weighted variants."""
-    windows = _occurring_windows(seq, pattern)
-    return _reports([pattern], _measure(series, seq, windows, np.array([windows.size]), sub_cfg))[0]
+    i = seq.inverse[_occurring_windows(seq, pattern)[0]]
+    columns = _measure(series, seq, sub_cfg)
+    lo, hi = columns["entry_offsets"][i : i + 2]
+    row = {name: column[i : i + 1] for name, column in columns.items()}
+    row.update(entry_starts=columns["entry_starts"][lo:hi], entry_offsets=np.array([0, hi - lo]))
+    return _reports([pattern], row)[0]
 
 
 RANK_KEYS = ("weighted_entropy", "transition_entropy")
@@ -314,7 +436,7 @@ def partition_table(
 ) -> PartitionTable:
     """Measure and level every occurring partition in one pass, indexed like ``seq.shown``."""
     levels = levels or LevelConfig()
-    columns = _measure(series, seq, np.argsort(seq.inverse, kind="stable"), np.bincount(seq.inverse), sub_cfg)
+    columns = _measure(series, seq, sub_cfg)
     for by, attr in zip(RANK_KEYS, LEVEL_KEYS):
         # rows are in pattern order, so a stable sort ranks as rank_partitions does
         ranked = np.argsort(-columns[by], kind="stable")

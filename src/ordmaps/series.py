@@ -210,6 +210,6 @@ def dump_series(series: TimeSeries, path) -> None:
 def series_sha256(series: TimeSeries) -> str:
     """Content hash of the samples and interval, independent of file layout."""
     digest = hashlib.sha256()
-    digest.update(np.ascontiguousarray(series.samples, dtype="<f8").tobytes())
+    digest.update(np.ascontiguousarray(series.samples, dtype="<f8"))  # hashed in place unless strided or big-endian
     digest.update(f"dt={series.dt:.17g}".encode())
     return digest.hexdigest()

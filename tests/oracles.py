@@ -4,8 +4,9 @@ Everything here favours obviousness over speed: per-window python sorts,
 dict counters and direct formula transcription. Tests freeze oracle
 outputs or compare package results against them; the package never
 imports this module, which borrows only the package's error types and
-series container, and for :func:`partition_reports` its report row,
-configs and ``symbolize``.
+series container, and for :func:`partition_reports` and
+:func:`partition_columns` its report row, configs, ``symbolize`` and key
+packing.
 """
 
 import math
@@ -251,6 +252,80 @@ def partition_reports(series, seq, sub_cfg=None, level_cfg=None):
         for report, label in zip(ranked, labels):
             setattr(report, attr, label)
     return reports
+
+
+def symbolize_one_shot(series, cfg):
+    """Codes and start indices of every window, all gathered, argsorted and encoded at once.
+
+    The one-shot body of ``ordmaps.encoding.symbolize`` before it ranked a
+    block of windows at a time; it holds several n x m arrays.
+    """
+    count = encoding.window_count(len(series.samples), cfg)
+    starts = np.arange(0, count * cfg.w, cfg.w, dtype=np.int64)
+    offsets = np.arange(0, cfg.span + 1, cfg.tau, dtype=np.int64)
+    windows = series.samples[starts[:, None] + offsets[None, :]]
+    order = windows.argsort(axis=1, kind="stable")
+    return encoding.encode_perm_rows(order + 1), starts
+
+
+def partition_columns(series, seq, sub_cfg=None, level_cfg=None):
+    """Every column of ``ordmaps.ranking.partition_table``, all partitions measured in one pass.
+
+    The one-pass body that the block-at-a-time table replaced: the windows
+    sorted by partition once, every sub-series laid end to end and symbolized
+    by :func:`symbolize_one_shot`, the (partition, secondary pattern) pairs
+    counted by ``np.unique``, and the terms of the partitions with the same
+    number of pairs summed as one batch. Levels as ``partition_table`` sets
+    them, by :func:`levels` in descending entropy order.
+    """
+    sub_cfg = sub_cfg or ranking.SubSeriesConfig()
+    level_cfg = level_cfg or ranking.LevelConfig()
+    order = np.argsort(seq.inverse, kind="stable")
+    occurrence = np.bincount(seq.inverse)
+    count = len(occurrence)
+    owner = np.repeat(np.arange(count), occurrence)
+    offset = np.arange(len(order)) - np.repeat(np.cumsum(occurrence) - occurrence, occurrence)
+    span = sub_cfg.window().span
+    counted = (offset % sub_cfg.w == 0) & (offset + span + sub_cfg.w < occurrence[owner])
+    entered = seq.entries[order]
+    entries = np.bincount(owner[entered], minlength=count)
+    shares = np.array([occurrence / len(seq), entries / seq.entry_count])
+    sums = np.zeros((3, count))
+    if counted.any():
+        sub = TimeSeries(series.samples[seq.start_indices[order]], series.dt)
+        codes = symbolize_one_shot(sub, replace(sub_cfg.window(), w=1))[0][counted[: len(order) - span]]
+        secondary, dense = np.unique(codes, return_inverse=True)
+        pair, pairs = np.unique(owner[counted] * len(secondary) + dense, return_counts=True)
+        row = pair // len(secondary)
+        p = pairs / np.bincount(owner[counted])[row]
+        log_p = np.log2(p)
+        log_shares = np.array([[math.log2(k) for k in ks] for ks in shares.tolist()])
+        terms = np.stack([p * log_p, *(k[row] * p * (log_p + log_k[row]) for k, log_k in zip(shares, log_shares))])
+        lengths = np.bincount(row, minlength=count)
+        first = np.cumsum(lengths) - lengths
+        for length in np.unique(lengths[lengths > 0]).tolist():
+            which = np.flatnonzero(lengths == length)
+            block = np.ascontiguousarray(terms[:, first[which, None] + np.arange(length)])
+            sums[:, which] = block.sum(axis=2)
+    entropy, weighted_entropy, transition_entropy = -sums + 0.0
+    columns = {
+        "occurrence": occurrence,
+        "entries": entries,
+        "occurrence_share": shares[0],
+        "entry_share": shares[1],
+        "entropy": entropy,
+        "weighted_entropy": weighted_entropy,
+        "transition_entropy": transition_entropy,
+        "degenerate": occurrence < sub_cfg.min_samples(),
+        "weighted_level": np.ones(count, dtype=np.int64),
+        "transition_level": np.ones(count, dtype=np.int64),
+        "entry_starts": seq.start_indices[order[entered]],
+        "entry_offsets": np.concatenate([[0], np.cumsum(entries)]),
+    }
+    for by, attr in zip(ranking.RANK_KEYS, ranking.LEVEL_KEYS):
+        ranked = np.argsort(-columns[by], kind="stable")
+        columns[attr][ranked] = levels(columns[by][ranked].tolist(), level_cfg.gap_fraction, level_cfg.max_levels)
+    return columns
 
 
 def lorenz(sigma, rho, beta, state, dt, total_points):

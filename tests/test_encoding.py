@@ -5,6 +5,7 @@ import pytest
 
 import ordmaps as om
 import oracles
+from ordmaps.encoding import BLOCK
 
 
 # the six m=3 pairs from the worked catalogue: amplitude perm <-> chronological perm
@@ -129,6 +130,20 @@ def test_symbolize_matches_oracle():
         assert seq.codes.tolist() == [oracles.encode(p, m) for p in expect]
         assert seq.start_indices.tolist() == list(range(0, len(expect) * w, w))
         assert seq.source_len == n
+
+
+@pytest.mark.parametrize("windows", [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3])
+def test_symbolize_blocks_match_one_shot_oracle(windows, rng):
+    for w, tau in itertools.product((1, 3), (1, 2)):
+        cfg = om.WindowConfig(m=5, tau=tau, w=w)
+        n = (windows - 1) * w + cfg.span + 1
+        for values in (rng.standard_normal(n), rng.integers(0, 3, size=n).astype(float), np.arange(n, dtype=float)):
+            ts = om.TimeSeries(values, dt=1.0)
+            seq = om.symbolize(ts, cfg)
+            codes, starts = oracles.symbolize_one_shot(ts, cfg)
+            assert len(seq) == windows
+            assert seq.codes.dtype == codes.dtype and seq.codes.tobytes() == codes.tobytes()
+            assert seq.start_indices.dtype == starts.dtype and seq.start_indices.tobytes() == starts.tobytes()
 
 
 def test_symbolize_stride_and_start_indices():

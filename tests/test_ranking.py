@@ -1,11 +1,13 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import ordmaps as om
 from ordmaps import ranking
+from ordmaps.encoding import BLOCK
 from ordmaps.ranking import LEVEL_KEYS, rank_partitions
 import oracles
 
@@ -251,7 +253,7 @@ def _oracle_partition(values, symbols, perm, w, sub):
 
 def test_every_partition_matches_oracle_on_secondary_window_grid(rng, monkeypatch):
     calls = []
-    monkeypatch.setattr(ranking, "symbolize", lambda *a: calls.append(a) or om.symbolize(*a))
+    monkeypatch.setattr(ranking, "encode_windows", lambda *a: calls.append(a) or om.encoding.encode_windows(*a))
     one_window = 0
     for m, sub_m, sub_tau, sub_w in itertools.product(range(3, 8), (2, 3, 4), (1, 2), (1, 2, 3)):
         values = rng.integers(0, 4, size=int(rng.integers(150, 400))).astype(float).tolist()
@@ -282,7 +284,7 @@ def test_all_degenerate_partitions_symbolize_nothing(monkeypatch):
     def refuse(*args):
         raise AssertionError("no sub-series can host two secondary windows")
 
-    monkeypatch.setattr(ranking, "symbolize", refuse)
+    monkeypatch.setattr(ranking, "encode_windows", refuse)
     ts, seq = _analyzed([0, 3, 1, 2, 2, 0, 3, 1, 0, 2, 3], m=3)
     reports = om.analyze_partitions(ts, seq)
     assert reports and all(r.degenerate and r.occurrence < 4 for r in reports)
@@ -370,3 +372,61 @@ def test_partition_table_matches_oracle_on_lorenz(lorenz_series, lorenz_analysis
     seq, reports = lorenz_analysis
     table = _assert_table_is_oracle(lorenz_series, seq)
     assert [table.entry_indices(i).tolist() for i in range(len(reports))] == [r.entry_indices.tolist() for r in reports]
+
+
+TABLE_COLUMNS = (
+    "occurrence", "entries", "occurrence_share", "entry_share", "entropy", "weighted_entropy",
+    "transition_entropy", "degenerate", *LEVEL_KEYS, "entry_starts", "entry_offsets",
+)
+
+
+def _assert_table_is_one_pass_oracle(ts, seq, sub=None):
+    table = om.partition_table(ts, seq, sub)
+    want = oracles.partition_columns(ts, seq, sub)
+    for name in TABLE_COLUMNS:
+        column = getattr(table, name)
+        assert column.dtype == want[name].dtype and column.tobytes() == want[name].tobytes(), name
+    return want
+
+
+@pytest.mark.parametrize("windows", [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3])
+def test_partition_table_blocks_match_one_pass_oracle(windows, rng):
+    for (w, tau), sub in itertools.product(itertools.product((1, 3), (1, 2)), (None, om.SubSeriesConfig(m=4, tau=2, w=3))):
+        cfg = om.WindowConfig(m=4, tau=tau, w=w)
+        n = (windows - 1) * w + cfg.span + 1
+        # noise, tied samples, and a monotone series: one partition holding every window
+        for values in (rng.standard_normal(n), rng.integers(0, 3, size=n).astype(float), np.arange(n, dtype=float)):
+            ts = om.TimeSeries(values, dt=1.0)
+            _assert_table_is_one_pass_oracle(ts, om.symbolize(ts, cfg), sub)
+
+
+def test_partition_table_sums_more_pairs_than_a_block_like_one_pass_oracle(rng, monkeypatch):
+    pairs = []
+    sums = ranking._entropy_sums
+    monkeypatch.setattr(ranking, "_entropy_sums", lambda tally, *a: pairs.append(len(tally.keys)) or sums(tally, *a))
+    ts = om.TimeSeries(rng.standard_normal(2 * BLOCK + 3), dt=1.0)
+    _assert_table_is_one_pass_oracle(ts, om.symbolize(ts, om.WindowConfig(m=6, tau=1)), om.SubSeriesConfig(m=5))
+    assert pairs[0] > BLOCK  # so the sums run over more than one partition-aligned block of pairs
+
+
+def _transient(call):
+    """What ``call`` returns, and its traced peak less the memory it leaves allocated."""
+    tracemalloc.start()
+    try:
+        result = call()
+        held, peak = tracemalloc.get_traced_memory()
+        return result, peak - held
+    finally:
+        tracemalloc.stop()
+
+
+def test_window_pass_memory_does_not_grow_with_windows():
+    peaks = []
+    cfg = om.WindowConfig(m=7, tau=1)
+    for n in (50_000, 400_000):
+        ts = om.TimeSeries(np.random.default_rng(0).normal(size=n), dt=1.0)
+        seq, symbolizing = _transient(lambda: om.symbolize(ts, cfg))
+        seq.inverse, seq.entries  # the grouping every consumer shares, computed outside the passes
+        _, measuring = _transient(lambda: om.partition_table(ts, seq))
+        peaks.append(max(symbolizing, measuring))
+    assert peaks[1] <= 1.2 * peaks[0], f"peak {peaks[1]} B at 4e5 samples against {peaks[0]} B at 5e4"

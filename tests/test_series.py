@@ -1,3 +1,4 @@
+import hashlib
 import random
 import tracemalloc
 
@@ -119,6 +120,13 @@ def test_sha256_tracks_content_and_dt():
     assert om.series_sha256(a) == om.series_sha256(b)
     assert om.series_sha256(a) != om.series_sha256(c)
     assert om.series_sha256(a) != om.series_sha256(d)
+
+
+def test_sha256_hashes_the_little_endian_bytes_of_any_layout():
+    x = np.linspace(-3.0, 7.0, 101) ** 3
+    for samples in (x[::3], x.astype(">f8"), x[::-2].astype(">f8")):
+        want = hashlib.sha256(np.ascontiguousarray(samples, dtype="<f8").tobytes() + b"dt=0.25").hexdigest()
+        assert om.series_sha256(om.TimeSeries(samples, dt=0.25)) == want
 
 
 def test_sha256_stable_across_dump_load(tmp_path):
