@@ -458,8 +458,15 @@ def _execute(spec: dict, out_dir_arg) -> int:
 # -------------------------------------------------------------- parser
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise ConfigError, in every subparser too, so they end as any bad input does."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ordmaps",
         description="First return maps from ordinal partitions of scalar series.",
     )
@@ -533,8 +540,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if args.command == "rerun":
             spec = load_manifest(args.manifest)
             spec.pop("manifest_sha256", None)
@@ -542,8 +549,8 @@ def main(argv=None) -> int:
         else:
             spec = _spec_from_args(args)
         return _execute(spec, args.out_dir)
-    except (OrdmapsError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (OrdmapsError, OSError, MemoryError) as exc:  # a bare MemoryError has no message
+        print(f"error: {exc}" if str(exc) else f"error: {type(exc).__name__}", file=sys.stderr)
         return 1
 
 

@@ -24,14 +24,15 @@ into its slice of the keys, so memory beyond the keys themselves stays at
 one block however long the series. :func:`encode_windows` is that loop, for
 any window starts; the secondary pass of ``ranking`` calls it too.
 
-A :class:`SymbolSequence` decodes its distinct keys once, as one array of
-digit rows, and renders the dashed text of every distinct pattern under its
-own ranking once, as the column ``shown`` that every writer indexes.
+A :class:`SymbolSequence` groups its windows by key once, as the distinct
+keys and each window's index into them, and renders the dashed text of every
+distinct pattern under its own ranking once, as the column ``shown`` that
+every writer indexes. A one-pattern query looks the pattern's key up among
+the distinct keys and scans the windows' indices once; it decodes no pattern.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cache, cached_property
 
@@ -105,14 +106,8 @@ def pattern_of_window(values, ranking: str = "chronological") -> OrdinalPattern:
         raise ValueError(f"window must be a 1-d sequence of length >= 2, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ValueError("window contains non-finite values")
-    if ranking not in RANKINGS:
-        raise ValueError(f"ranking must be one of {RANKINGS}, got {ranking!r}")
     # stable ascending argsort implements the earlier-index-is-smaller tie rule
-    order = np.argsort(arr, kind="stable")
-    chron = OrdinalPattern(tuple(int(i) + 1 for i in order))
-    if ranking == "chronological":
-        return chron
-    return chron_to_amplitude(chron)
+    return display_pattern(OrdinalPattern(np.argsort(arr, kind="stable") + 1), ranking)
 
 
 @dataclass(frozen=True)
@@ -211,9 +206,11 @@ class SymbolSequence:
 
     The windows are grouped by pattern once, on first use, and every module
     reads that one grouping: ``pattern_codes``, ``inverse``, ``entries`` and
-    ``shown`` as arrays, and ``patterns`` and ``windows`` as one object per
-    pattern for callers that ask for one pattern at a time. The class is
-    frozen so the grouping cannot go stale.
+    ``shown`` as arrays, and ``patterns`` as one object per pattern, decoded
+    only when read. A caller that asks about one pattern finds its row with
+    :meth:`index`, a search of ``pattern_codes`` that decodes nothing, and
+    its windows with one scan, ``inverse == index``. The class is frozen so
+    the grouping cannot go stale.
     """
 
     codes: np.ndarray
@@ -255,12 +252,6 @@ class SymbolSequence:
         return self._unique[1]
 
     @cached_property
-    def windows(self) -> tuple[np.ndarray, ...]:
-        """The ascending window indices of each pattern."""
-        order = np.argsort(self.inverse, kind="stable")
-        return tuple(np.split(order, np.cumsum(np.bincount(self.inverse))[:-1]))
-
-    @cached_property
     def entries(self) -> np.ndarray:
         """The entry mask of the windows, see :func:`entry_mask`."""
         return entry_mask(self.codes)
@@ -269,12 +260,13 @@ class SymbolSequence:
     def entry_count(self) -> int:
         return int(self.entries.sum())
 
-    def windows_of(self, pattern: OrdinalPattern) -> np.ndarray:
-        """The ascending indices of the windows carrying the pattern; empty if none do."""
-        i = bisect_left(self.patterns, pattern)
-        if i < len(self.patterns) and self.patterns[i] == pattern:
-            return self.windows[i]
-        return np.empty(0, dtype=np.intp)
+    def index(self, pattern: OrdinalPattern) -> int:
+        """The index of the pattern in ``pattern_codes``, or -1 if no window carries it."""
+        if pattern.m != self.config.m:
+            return -1
+        code = pattern_code(pattern)
+        i = int(np.searchsorted(self.pattern_codes, code))
+        return i if i < len(self.pattern_codes) and self.pattern_codes[i] == code else -1
 
     @property
     def symbols(self) -> list[OrdinalPattern]:
@@ -320,22 +312,21 @@ def symbolize(series: TimeSeries, cfg: WindowConfig | None = None) -> SymbolSequ
 
 def distinct_patterns(seq: SymbolSequence) -> list[tuple[OrdinalPattern, int]]:
     """Occurring patterns with their window counts, in lexicographic order."""
-    return [(pattern, len(windows)) for pattern, windows in zip(seq.patterns, seq.windows)]
+    return list(zip(seq.patterns, np.bincount(seq.inverse).tolist()))
+
+
+def _convert(pattern: OrdinalPattern, ranking: str, amplitude) -> OrdinalPattern:
+    """The pattern itself under the chronological ranking, ``amplitude(pattern)`` under the amplitude one."""
+    if ranking not in RANKINGS:
+        raise ValueError(f"ranking must be one of {RANKINGS}, got {ranking!r}")
+    return pattern if ranking == "chronological" else amplitude(pattern)
 
 
 def display_pattern(pattern: OrdinalPattern, ranking: str) -> OrdinalPattern:
     """Render a canonical (chronological) pattern under the given scheme."""
-    if ranking not in RANKINGS:
-        raise ValueError(f"ranking must be one of {RANKINGS}, got {ranking!r}")
-    if ranking == "chronological":
-        return pattern
-    return chron_to_amplitude(pattern)
+    return _convert(pattern, ranking, chron_to_amplitude)
 
 
 def canonical_pattern(pattern: OrdinalPattern, ranking: str) -> OrdinalPattern:
     """Map a user-facing pattern in the given scheme to canonical form."""
-    if ranking not in RANKINGS:
-        raise ValueError(f"ranking must be one of {RANKINGS}, got {ranking!r}")
-    if ranking == "chronological":
-        return pattern
-    return amplitude_to_chron(pattern)
+    return _convert(pattern, ranking, amplitude_to_chron)

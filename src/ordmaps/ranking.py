@@ -124,8 +124,7 @@ class PartitionReport:
 
 def entry_points(seq: SymbolSequence, pattern: OrdinalPattern) -> np.ndarray:
     """Start indices of windows that enter the pattern; may be empty."""
-    windows = seq.windows_of(pattern)
-    return seq.start_indices[windows[seq.entries[windows]]]
+    return seq.start_indices[np.flatnonzero((seq.inverse == seq.index(pattern)) & seq.entries)]
 
 
 def extract_subseries(
@@ -135,14 +134,9 @@ def extract_subseries(
 
     The gaps between visits are spliced out, so dt is only nominal.
     """
-    return TimeSeries(series.samples[seq.start_indices[_occurring_windows(seq, pattern)]], series.dt)
-
-
-def _occurring_windows(seq: SymbolSequence, pattern: OrdinalPattern) -> np.ndarray:
-    windows = seq.windows_of(pattern)
-    if not windows.size:
+    if (i := seq.index(pattern)) < 0:
         raise PatternAbsentError(f"pattern {pattern.dashed()} does not occur")
-    return windows
+    return TimeSeries(series.samples[seq.start_indices[np.flatnonzero(seq.inverse == i)]], series.dt)
 
 
 def _runs(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -364,7 +358,8 @@ def weighted_entropies(
     sub_cfg: SubSeriesConfig | None = None,
 ) -> PartitionReport:
     """Measure one partition: shares, sub-series entropy, weighted variants."""
-    i = seq.inverse[_occurring_windows(seq, pattern)[0]]
+    if (i := seq.index(pattern)) < 0:
+        raise PatternAbsentError(f"pattern {pattern.dashed()} does not occur")
     columns = _measure(series, seq, sub_cfg)
     lo, hi = columns["entry_offsets"][i : i + 2]
     row = {name: column[i : i + 1] for name, column in columns.items()}

@@ -24,7 +24,7 @@ from itertools import islice
 import numpy as np
 
 from .errors import ConfigError, DivergenceError
-from .series import TimeSeries
+from .series import CHUNK, TimeSeries, check_dt
 
 
 @dataclass(frozen=True)
@@ -74,8 +74,7 @@ class SimulationConfig:
     seed: int | None = None
 
     def __post_init__(self):
-        if not self.dt > 0:
-            raise ConfigError(f"dt must be positive, got {self.dt}")
+        check_dt(self.dt)
         if self.total_points < 2:
             raise ConfigError(f"total_points must be at least 2, got {self.total_points}")
         if not 0.0 <= self.discard_fraction < 1.0:
@@ -118,8 +117,11 @@ def _tail(states, cfg: SimulationConfig) -> TimeSeries:
     """The kept tail of a stream of total_points states; the transient is never stored."""
     keep = kept_points(cfg)
     dropped = cfg.total_points - keep
+    samples = np.empty(keep)  # before the first step, so a tail too large for memory fails at once
     deque(islice(states, dropped), maxlen=0)
-    return TimeSeries(np.fromiter(states, np.float64, count=keep), cfg.dt, origin_time=dropped * cfg.dt)
+    for lo in range(0, keep, CHUNK):
+        samples[lo : lo + CHUNK] = np.fromiter(states, np.float64, count=min(CHUNK, keep - lo))
+    return TimeSeries(samples, cfg.dt, origin_time=dropped * cfg.dt)
 
 
 def integrate_lorenz(

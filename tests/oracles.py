@@ -216,7 +216,8 @@ def partition_reports(series, seq, sub_cfg=None, level_cfg=None):
     """
     sub_cfg = sub_cfg or ranking.SubSeriesConfig()
     level_cfg = level_cfg or ranking.LevelConfig()
-    groups = seq.windows
+    grouped = np.argsort(seq.inverse, kind="stable")
+    groups = np.split(grouped, np.cumsum(np.bincount(seq.inverse))[:-1])
     order = np.concatenate(groups)
     occurrence = np.array([len(g) for g in groups])
     owner = np.repeat(np.arange(len(groups)), occurrence)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import ordmaps as om
-from ordmaps import cli, encoding, manifest, ranking
+from ordmaps import cli, encoding, manifest, ranking, sources
 
 
 @pytest.fixture()
@@ -337,6 +337,18 @@ ESCAPES = {
         ["frm", "IN", "--level", "2", "--gap-fraction", "0.9"], _lorenz_file_with_one_level, "level 2 (by transition)"
     ),
     "pipeline frm level 7": (["pipeline", "IN", "--frm-level", "7"], None, "--level/--frm-level must lie in 1..3"),
+    "generate dt inf": (["generate", "lorenz", "--seed", "1", "--dt", "inf"], None, "dt must be positive and finite, got inf"),
+    # usage errors end as every other bad input does
+    "usage m not an int": (["analyze", "IN", "--m", "abc"], None, "argument --m: invalid int value: 'abc'"),
+    "usage seed not an int": (["generate", "lorenz", "--seed", "x"], None, "argument --seed: invalid int value: 'x'"),
+    "usage ranking not a choice": (["analyze", "IN", "--ranking", "foo"], None, "argument --ranking: invalid choice: 'foo'"),
+    "usage color not a choice": (
+        ["embed", "IN", "--dim", "2", "--lag", "2", "--color", "red"], None, "argument --color: invalid choice: 'red'"
+    ),
+    "usage embed without dim and lag": (["embed", "IN"], None, "the following arguments are required: --dim, --lag"),
+    "usage analyze without input": (["analyze"], None, "the following arguments are required: input"),
+    "usage unknown command": (["bogus"], None, "argument command: invalid choice: 'bogus'"),
+    "usage unknown flag": (["analyze", "IN", "--zzz", "1"], None, "unrecognized arguments: --zzz 1"),
     "kept points below 2": (
         ["generate", "lorenz", "--points", "1000000", "--discard", "0.9999999"], None,
         "only 0 points kept after discarding; need at least 2",
@@ -361,6 +373,40 @@ def test_bad_input_fails_with_one_error_line(case, tmp_path, capsys):
     assert named in err
     if make is None:
         assert "missing.csv" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [["--version"], ["analyze", "--help"]])
+def test_help_and_version_still_exit_0(argv, capsys):
+    with pytest.raises(SystemExit) as info:
+        _run(argv)
+    assert info.value.code == 0
+    assert capsys.readouterr().out
+
+
+# numpy names the size it failed to allocate; an interpreter MemoryError is bare
+@pytest.mark.parametrize("discard, message", [("0", "Unable to allocate 7.11 PiB"), ("0.9", "")])
+def test_tail_too_large_for_memory_fails_before_any_step(discard, message, tmp_path, capsys, monkeypatch):
+    # the allocator is patched to refuse the tail, so nothing is really allocated
+    real_empty, real_lorenz, steps = np.empty, sources._lorenz, []
+
+    def empty(shape, *args, **kwargs):
+        if np.prod(shape, dtype=object) > 10**8:
+            raise MemoryError(message)
+        return real_empty(shape, *args, **kwargs)
+
+    def lorenz(*args):
+        for x in real_lorenz(*args):
+            steps.append(x)
+            assert len(steps) < 10, "integrated before allocating the tail"
+            yield x
+
+    monkeypatch.setattr(np, "empty", empty)
+    monkeypatch.setattr(sources, "_lorenz", lorenz)
+    out = tmp_path / "out"
+    rc = _run(["generate", "lorenz", "--seed", 1, "--points", 10**15, "--discard", discard, "--out-dir", out])
+    assert rc == 1 and steps == []
+    assert capsys.readouterr().err == f"error: {message or 'MemoryError'}\n"
     assert not out.exists()
 
 

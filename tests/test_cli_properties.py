@@ -1,8 +1,9 @@
 """Property tests of the CLI error contract.
 
-Whatever the manifest, series file or flag value, ``cli.main`` either
-succeeds or returns 1 after printing exactly one ``error: ...`` line, and a
-failed run leaves no output directory. It never raises.
+Whatever the manifest, series file or flag value, well-typed or not,
+``cli.main`` either succeeds or returns 1 after printing exactly one
+``error: ...`` line, and a failed run leaves no output directory. It never
+raises.
 """
 
 import contextlib
@@ -154,7 +155,14 @@ GENERATE_FLAGS = {
 }
 
 
+# text that argparse may fail to convert (a usage error); at most 4 characters,
+# so a value that does convert stays small
+ILL_TYPED = st.text(max_size=4) | st.sampled_from(["abc", "1.5", "1e3", "0x10", ""])
+
+
 def _flag_value(data, flag):
+    if data.draw(st.integers(0, 3)) == 0:
+        return data.draw(ILL_TYPED)
     if flag in ("--points", "--seed"):  # small, so no draw asks for a long integration
         return data.draw(st.integers(-3, 400))
     if flag == "--initial-state":

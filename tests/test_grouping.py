@@ -12,6 +12,7 @@ import pytest
 
 import ordmaps as om
 import oracles
+from ordmaps import cli
 
 
 def _cases(rng):
@@ -31,7 +32,8 @@ def test_grouping_consumers_match_oracles(rng):
         assert [s.perm for s in seq.symbols] == symbols
         assert [(p.perm, c) for p, c in om.distinct_patterns(seq)] == sorted(Counter(symbols).items())
 
-        for p in seq.patterns:
+        for i, p in enumerate(seq.patterns):
+            assert seq.index(p) == i
             assert om.entry_points(seq, p).tolist() == [k * w for k in entries if symbols[k] == p.perm]
             sub = om.extract_subseries(ts, seq, p)
             assert sub.samples.tolist() == [values[k * w] for k, s in enumerate(symbols) if s == p.perm]
@@ -66,7 +68,26 @@ def test_absent_or_wrong_length_pattern_selects_nothing():
 
 def test_grouping_is_computed_once_and_cannot_go_stale():
     seq = om.symbolize(om.TimeSeries(np.sin(np.arange(50.0)), dt=1.0), om.WindowConfig(m=3, tau=1))
-    assert seq.patterns is seq.patterns and seq.windows is seq.windows
-    assert np.concatenate(seq.windows).size == len(seq)
+    assert seq.patterns is seq.patterns
     with pytest.raises(AttributeError):
         seq.codes = seq.codes[:1]
+
+
+def test_one_pattern_queries_decode_no_pattern(tmp_path, monkeypatch):
+    ts = om.TimeSeries(np.sin(0.7 * np.arange(200.0)), dt=1.0)
+    cfg = om.WindowConfig(m=4, tau=1)
+    pattern = om.decode_pattern(int(om.symbolize(ts, cfg).pattern_codes[0]), 4)
+    for query in (
+        lambda seq: om.entry_points(seq, pattern),
+        lambda seq: om.extract_subseries(ts, seq, pattern),
+        lambda seq: om.weighted_entropies(ts, seq, pattern),
+    ):
+        seq = om.symbolize(ts, cfg)
+        query(seq)
+        assert "patterns" not in vars(seq)
+    made = []
+    monkeypatch.setattr(cli, "symbolize", lambda *args: made.append(om.symbolize(*args)) or made[-1])
+    om.dump_series(ts, tmp_path / "series.csv")
+    argv = ["frm", str(tmp_path / "series.csv"), "--m", "4", "--tau", "1", "--pattern", pattern.dashed()]
+    assert cli.main(argv + ["--out-dir", str(tmp_path / "out")]) == 0
+    assert len(made) == 1 and "patterns" not in vars(made[0])

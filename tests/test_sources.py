@@ -20,6 +20,9 @@ def test_kept_points_is_exact_decimal_arithmetic():
 def test_simulation_config_validation():
     with pytest.raises(om.ConfigError, match="dt"):
         om.SimulationConfig(dt=0.0)
+    for dt in (float("inf"), float("nan")):  # the one dt rule of series.check_dt
+        with pytest.raises(om.ConfigError, match="dt must be positive and finite"):
+            om.SimulationConfig(dt=dt)
     with pytest.raises(om.ConfigError, match="total_points"):
         om.SimulationConfig(total_points=1)
     with pytest.raises(om.ConfigError, match="discard_fraction"):
