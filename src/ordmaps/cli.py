@@ -72,7 +72,7 @@ from .ranking import (
     partition_table,
 )
 from .returnmaps import frm_from_entries, maxima_frm
-from .series import check_dt, load_series, series_sha256
+from .series import FORMATS, check_dt, load_series, series_sha256
 from .sources import (
     LorenzParams,
     MackeyGlassParams,
@@ -88,7 +88,6 @@ _PARAMS = dict(zip(SYSTEMS, (LorenzParams, RosslerParams, MackeyGlassParams)))
 # a series file takes the Lorenz embedding unless --dim/--lag say otherwise
 _EMBEDDINGS = dict(zip(SYSTEMS, (LORENZ_EMBEDDING, ROSSLER_EMBEDDING, MACKEY_GLASS_EMBEDDING)))
 _LEVEL_ATTR = {"weighted": "weighted_level", "transition": "transition_level"}
-_FORMATS = ("csv", "whitespace")
 _COLORS = ("pattern", "level", "none")
 
 
@@ -246,7 +245,7 @@ def _check(spec: dict) -> SimpleNamespace:
     inp = spec["input"]
     kind = inp.get("kind") if type(inp) is dict else None
     if kind == "file":
-        _section(inp, "input", kind=_IS[str], path=_IS[str], format=_one_of(*_FORMATS), dt=_IS[float | None])
+        _section(inp, "input", kind=_IS[str], path=_IS[str], format=_one_of(*FORMATS), dt=_IS[float | None])
         if inp["dt"] is not None:
             check_dt(inp["dt"])
     elif type(kind) is str and kind in SYSTEMS:
@@ -478,7 +477,7 @@ def build_parser() -> argparse.ArgumentParser:
     out, file_in, sim, analysis = (argparse.ArgumentParser(add_help=False) for _ in range(4))
     out.add_argument("--out-dir", help="output directory (default runs/<digest>)")
     file_in.add_argument("input", help="series file (one value per row)")
-    file_in.add_argument("--format", choices=_FORMATS, default="csv")
+    file_in.add_argument("--format", choices=FORMATS, default="csv")
     file_in.add_argument("--dt", type=float, help="sample interval if not in the file header")
     sim.add_argument("--dt", type=float, help=f"integration step (default {sim_cfg.dt})")
     sim.add_argument("--points", dest="total_points", type=int, help=f"total points (default {sim_cfg.total_points})")
@@ -524,7 +523,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pipe = sub.add_parser("pipeline", help="full analysis in one run", parents=[sim, analysis, out])
     pipe.add_argument("input", metavar="source", help=f"one of {', '.join(SYSTEMS)} or a series file")
-    pipe.add_argument("--format", choices=_FORMATS, default="csv")
+    pipe.add_argument("--format", choices=FORMATS, default="csv")
     pipe.add_argument("--dim", type=int, help="embedding dimension")
     pipe.add_argument("--lag", type=int, help="embedding lag in samples")
     pipe.add_argument("--color", choices=_COLORS, default="pattern")

@@ -78,25 +78,19 @@ class OrdinalPattern:
         return self.dashed()
 
 
-def chron_to_amplitude(pattern: OrdinalPattern) -> OrdinalPattern:
-    """Amplitude rendering of a chronological pattern.
+def _amplitude_rows(rows: np.ndarray) -> np.ndarray:
+    """Amplitude rendering of chronological rows: position j of ascending rank r_j shows rank m + 1 - r_j."""
+    return rows.shape[1] - rows.argsort(axis=1)
 
-    If position j has ascending rank r_j, its amplitude rank is m + 1 - r_j.
-    """
-    m = pattern.m
-    ascending_rank = [0] * m
-    for rank, idx in enumerate(pattern.perm, start=1):
-        ascending_rank[idx - 1] = rank
-    return OrdinalPattern(tuple(m + 1 - r for r in ascending_rank))
+
+def chron_to_amplitude(pattern: OrdinalPattern) -> OrdinalPattern:
+    """Amplitude rendering of a chronological pattern."""
+    return OrdinalPattern(_amplitude_rows(np.asarray([pattern.perm]))[0])
 
 
 def amplitude_to_chron(pattern: OrdinalPattern) -> OrdinalPattern:
-    """Inverse of :func:`chron_to_amplitude`."""
-    m = pattern.m
-    chron = [0] * m
-    for idx, amp_rank in enumerate(pattern.perm, start=1):
-        chron[m - amp_rank] = idx
-    return OrdinalPattern(tuple(chron))
+    """Inverse of :func:`chron_to_amplitude`: the positions from amplitude rank m up to rank 1."""
+    return OrdinalPattern(np.argsort(np.negative(pattern.perm)) + 1)
 
 
 def pattern_of_window(values, ranking: str = "chronological") -> OrdinalPattern:
@@ -178,12 +172,7 @@ def pattern_code(pattern: OrdinalPattern) -> int:
 
 
 def decode_pattern(code: int, m: int) -> OrdinalPattern:
-    base = m + 1
-    digits = []
-    for _ in range(m):
-        code, digit = divmod(code, base)
-        digits.append(int(digit))
-    return OrdinalPattern(tuple(reversed(digits)))
+    return OrdinalPattern(decode_perm_rows(np.asarray([code]), m)[0])
 
 
 def entry_mask(codes: np.ndarray) -> np.ndarray:
@@ -241,8 +230,8 @@ class SymbolSequence:
         """The dashed text of each of ``patterns`` under ``config.ranking``, as an object array to index."""
         m = self.config.m
         rows = decode_perm_rows(self.pattern_codes, m)
-        if self.config.ranking == "amplitude":  # see chron_to_amplitude
-            rows = m - rows.argsort(axis=1)
+        if self.config.ranking == "amplitude":
+            rows = _amplitude_rows(rows)
         text = ("-".join(["%d"] * m) + "\n") * len(rows) % tuple(rows.ravel().tolist())
         return np.array(text.splitlines(), dtype=object)
 

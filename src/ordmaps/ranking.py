@@ -22,7 +22,7 @@ first window counts. The formulas are applied literally; contributions
 are not clamped even where a term goes negative.
 
 Partitions whose sub-series cannot host two secondary windows are flagged
-degenerate and given zero entropies.
+degenerate, given zero entropies and left out of the secondary pass.
 
 Every partition is measured in one pass over the windows, a block of
 ``encoding.BLOCK`` windows at a time, so the pass allocates no array over
@@ -51,7 +51,7 @@ descending list at the largest consecutive gaps exceeding
 partition; the CLI and the writers read it. :func:`analyze_partitions` turns
 the table into one :class:`PartitionReport` per partition, and
 :func:`weighted_entropies` is one row of the same measurement.
-:func:`rank_partitions` and :func:`assign_levels` work on such rows.
+:func:`rank_partitions` sorts such rows.
 """
 
 from __future__ import annotations
@@ -104,8 +104,8 @@ class PartitionReport:
     """Everything measured about one ordinal partition.
 
     ``occurrence_share`` and ``entry_share`` are K and K^ above. Levels are
-    1-based, 1 being the highest-entropy group; they default to 1 until
-    :func:`assign_levels` runs.
+    1-based, 1 being the highest-entropy group, as :func:`partition_table`
+    sets them; the one row of :func:`weighted_entropies` leaves them at 1.
     """
 
     pattern: OrdinalPattern
@@ -147,25 +147,31 @@ def _runs(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 class _SubSeries:
-    """Every partition's sub-series, met a block of windows at a time.
+    """The sub-series of the partitions ``parts``, met a block of windows at a time.
 
     A block's run of each partition is laid after the last ``span`` samples of
     that sub-series from the blocks before, so every secondary window ending
-    in the block lies in the block's own samples.
+    in the block lies in the block's own samples. Each of ``parts`` has more
+    windows than ``span``, so the tails hold fewer samples than there are windows.
     """
 
-    def __init__(self, occurrence: np.ndarray, sub_cfg: SubSeriesConfig):
+    def __init__(self, occurrence: np.ndarray, parts: np.ndarray, sub_cfg: SubSeriesConfig):
         self.window = replace(sub_cfg.window(), w=1)
         self.w = sub_cfg.w
-        self.occurrence = occurrence
-        self.seen = np.zeros(len(occurrence), dtype=np.int64)
-        self.tail = np.zeros((len(occurrence), self.window.span))
+        self.parts = parts
+        self.slot = np.full(len(occurrence), -1)  # each partition's row among parts, -1 if not one
+        self.slot[parts] = np.arange(len(parts))
+        self.occurrence = occurrence[parts]
+        self.seen = np.zeros(len(parts), dtype=np.int64)
+        self.tail = np.zeros((len(parts), self.window.span))
 
     def secondary(self, label: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The partition and the code of every counted secondary window that ends at one of ``values``.
 
         ``values`` are the block's sub-series samples, run by run as ``label`` sorts them.
         """
+        label = self.slot[label]
+        values, label = values[label >= 0], label[label >= 0]
         span = self.window.span
         first, size, rank = _runs(label)
         part = label[first]
@@ -184,7 +190,7 @@ class _SubSeries:
         self.tail[part] = laid[held + size[:, None]]
         if not counted.any():
             return label[:0], at[:0]
-        return label[counted], encode_windows(laid, at[counted] - span, self.window)
+        return self.parts[label[counted]], encode_windows(laid, at[counted] - span, self.window)
 
 
 class _Tally:
@@ -266,7 +272,9 @@ def _measure(series: TimeSeries, seq: SymbolSequence, sub_cfg) -> dict[str, np.n
     entry_starts = np.empty(entry_offsets[-1], dtype=starts.dtype)
     placed = np.zeros(count, dtype=np.int64)  # entry starts written, per partition
     counted = np.zeros(count, dtype=np.int64)  # secondary windows counted, per partition
-    subseries, tally = _SubSeries(occurrence, sub_cfg), _Tally()
+    # only a partition that is not degenerate counts a secondary window
+    parts = np.flatnonzero(occurrence >= sub_cfg.min_samples())
+    subseries, tally = (_SubSeries(occurrence, parts, sub_cfg) if len(parts) else None), _Tally()
     for lo in range(0, len(seq), BLOCK):
         piece = inverse[lo : lo + BLOCK]
         # the block's windows by partition and then by index: the keys are
@@ -279,6 +287,8 @@ def _measure(series: TimeSeries, seq: SymbolSequence, sub_cfg) -> dict[str, np.n
         entry_starts[entry_offsets[entry_label] + placed[entry_label] + rank] = starts[window[inside]]
         placed[entry_label[first]] += size
         del inside, entry_label, first, size, rank
+        if subseries is None:
+            continue
         owner, codes = subseries.secondary(label, series.samples[starts[window]])
         if len(owner):
             counted += np.bincount(owner, minlength=count)
@@ -401,26 +411,11 @@ def _level_labels(e: np.ndarray, gap_fraction: float, max_levels: int) -> np.nda
     if np.any(e[1:] > e[:-1]):
         raise ValueError("entropies must be sorted in descending order")
     gaps = e[:-1] - e[1:]
-    threshold = gap_fraction * e[0]
-    qualifying = np.flatnonzero(gaps > threshold)
-    chosen = sorted(qualifying, key=lambda i: (-gaps[i], i))[: max_levels - 1]
-    labels = np.ones(e.size, dtype=np.int64)
-    for boundary in sorted(chosen):
-        labels[boundary + 1 :] += 1
-    return labels
-
-
-def assign_levels(
-    reports: list[PartitionReport], levels: LevelConfig | None = None
-) -> list[PartitionReport]:
-    """Label every report with its level under both entropy variants."""
-    levels = levels or LevelConfig()
-    for by, attr in zip(RANK_KEYS, LEVEL_KEYS):
-        ranked = rank_partitions(reports, by)
-        labels = detect_levels([getattr(r, by) for r in ranked], levels.gap_fraction, levels.max_levels)
-        for report, label in zip(ranked, labels):
-            setattr(report, attr, label)
-    return reports
+    qualifying = np.flatnonzero(gaps > gap_fraction * e[0])
+    # the largest max_levels - 1 qualifying gaps, earliest first on ties, in place order
+    chosen = np.sort(qualifying[np.argsort(-gaps[qualifying], kind="stable")[: max_levels - 1]])
+    # a boundary b parts entries b and b + 1, so entry k's level counts the boundaries below k
+    return np.searchsorted(chosen, np.arange(e.size)) + 1
 
 
 def partition_table(

@@ -22,6 +22,7 @@ from .errors import ConfigError, ParseError, TooShortError
 
 _DT_COMMENT = re.compile(r"dt\s*=\s*([^\s,]+)")
 _BATCH = 1 << 16  # characters per batch of lines read, bytes per block counted
+FORMATS = ("csv", "whitespace")  # cells split at commas, or at runs of whitespace
 
 
 @dataclass(eq=False)
@@ -77,8 +78,8 @@ def load_series(path, format: str = "csv", dt: float | None = None) -> TimeSerie
     converted by one ``float`` map when its data rows are bare finite numbers
     and its ``dt`` comments parse; any other batch is read line by line.
     """
-    if format not in ("csv", "whitespace"):
-        raise ValueError(f"format must be 'csv' or 'whitespace', got {format!r}")
+    if format not in FORMATS:
+        raise ValueError(f"format must be one of {FORMATS}, got {format!r}")
     path = Path(path)
     header_dt = None
     count = row = 0

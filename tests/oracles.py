@@ -142,6 +142,33 @@ def encode(perm, m):
     return code
 
 
+def decode(code, m):
+    """Inverse of :func:`encode`: the m base-(m+1) digits of the key, most significant first."""
+    digits = []
+    for _ in range(m):
+        code, digit = divmod(code, m + 1)
+        digits.append(int(digit))
+    return tuple(reversed(digits))
+
+
+def chron_to_amplitude(perm):
+    """Amplitude ranks of a chronological permutation: position j of ascending rank r_j gets m + 1 - r_j."""
+    m = len(perm)
+    ascending_rank = [0] * m
+    for rank, idx in enumerate(perm, start=1):
+        ascending_rank[idx - 1] = rank
+    return tuple(m + 1 - r for r in ascending_rank)
+
+
+def amplitude_to_chron(perm):
+    """Inverse of :func:`chron_to_amplitude`."""
+    m = len(perm)
+    chron = [0] * m
+    for idx, amp_rank in enumerate(perm, start=1):
+        chron[m - amp_rank] = idx
+    return tuple(chron)
+
+
 def pair_counts(symbols):
     counts = {}
     for a, b in zip(symbols, symbols[1:]):

@@ -376,6 +376,17 @@ def test_bad_input_fails_with_one_error_line(case, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags", [["--sub-tau", 10**8], ["--sub-tau", 10**19], ["--sub-w", 10**20]])
+def test_sub_window_wider_than_every_subseries_leaves_every_row_degenerate(flags, tmp_path):
+    path = tmp_path / "noise.csv"
+    om.dump_series(om.TimeSeries(np.random.default_rng(7).standard_normal(2000), dt=1.0), path)
+    out = tmp_path / "out"
+    assert _run(["analyze", path, *flags, "--out-dir", out]) == 0
+    header, *rows = [line.split(",") for line in (out / "partitions.csv").read_text().splitlines()]
+    assert len(rows) == 24 and all(row[header.index("degenerate")] == "1" for row in rows)
+    assert {row[header.index("h")] for row in rows} == {"0"}
+
+
 @pytest.mark.parametrize("argv", [["--version"], ["analyze", "--help"]])
 def test_help_and_version_still_exit_0(argv, capsys):
     with pytest.raises(SystemExit) as info:

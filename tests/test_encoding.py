@@ -37,6 +37,25 @@ def test_ranking_conversion_round_trip():
             assert om.chron_to_amplitude(om.amplitude_to_chron(p)) == p
 
 
+def _perms_to_check():
+    """Every permutation for m = 2..6, and random ones for m = 7..15."""
+    rng = np.random.default_rng(15)
+    for m in range(2, 7):
+        yield from itertools.permutations(range(1, m + 1))
+    for m in range(7, 16):
+        for _ in range(50):
+            yield tuple((rng.permutation(m) + 1).tolist())
+
+
+def test_one_row_codec_matches_loop_oracles():
+    for perm in _perms_to_check():
+        m, p = len(perm), om.OrdinalPattern(perm)
+        assert om.chron_to_amplitude(p).perm == oracles.chron_to_amplitude(perm)
+        assert om.amplitude_to_chron(p).perm == oracles.amplitude_to_chron(perm)
+        code = oracles.encode(perm, m)
+        assert om.decode_pattern(code, m).perm == oracles.decode(code, m) == perm
+
+
 def test_pattern_of_window_matches_oracle_exhaustively():
     for m in (2, 3, 4):
         for window in itertools.product((1.0, 2.0, 3.0), repeat=m):
@@ -195,4 +214,4 @@ def test_patterns_decode_like_decode_pattern(m):
     codes = om.encoding.encode_perm_rows(perms)
     shuffled = np.random.default_rng(m).permutation(codes)
     seq = om.SymbolSequence(shuffled, np.arange(len(codes)), len(codes), om.WindowConfig(m=m))
-    assert seq.patterns == tuple(om.decode_pattern(code, m) for code in sorted(codes.tolist()))
+    assert seq.patterns == tuple(om.OrdinalPattern(oracles.decode(code, m)) for code in sorted(codes.tolist()))

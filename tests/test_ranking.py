@@ -203,26 +203,6 @@ def test_detect_levels_matches_oracle(rng):
         assert got == sorted(got)
 
 
-def test_assign_levels_sets_both_attributes():
-    ts, seq = _analyzed(PI_DIGITS)
-    reports = [
-        om.weighted_entropies(ts, seq, om.OrdinalPattern(p)) for p in ((1, 2), (2, 1))
-    ]
-    om.assign_levels(reports)
-    # the gap 1.2925 -> 1.1855 is under 0.15 of the top value: one plateau
-    assert [r.weighted_level for r in reports] == [1, 1]
-    assert [r.transition_level for r in reports] == [1, 1]
-
-    # force a genuine split to check the labels land on the right reports
-    by_pattern = {r.pattern.perm: r for r in reports}
-    by_pattern[(1, 2)].transition_entropy = 0.2
-    by_pattern[(2, 1)].transition_entropy = 0.9
-    om.assign_levels(reports)
-    assert by_pattern[(2, 1)].transition_level == 1
-    assert by_pattern[(1, 2)].transition_level == 2
-    assert by_pattern[(1, 2)].weighted_level == 1
-
-
 def test_analyze_partitions_order_and_share_sums(rng):
     for _ in range(20):
         n = int(rng.integers(12, 60))
@@ -361,6 +341,8 @@ def test_partition_table_matches_oracle_when_degenerate_or_tied(rng):
         ([0, 1] * 30, 5, None),  # two alternating patterns
         (rng.integers(0, 2, size=500), 6, None),
         (rng.integers(0, 2, size=300), 7, om.SubSeriesConfig(m=5, tau=2, w=3)),  # most partitions degenerate
+        # two blocks of windows, and sub-series on both sides of the 2 * 24 + 2 samples a secondary pair needs
+        (rng.standard_normal(2 * BLOCK), 6, om.SubSeriesConfig(tau=24)),
     ]
     for values, m, sub in cases:
         ts, seq = _analyzed(np.asarray(values, dtype=float), m=m)
@@ -430,3 +412,15 @@ def test_window_pass_memory_does_not_grow_with_windows():
         _, measuring = _transient(lambda: om.partition_table(ts, seq))
         peaks.append(max(symbolizing, measuring))
     assert peaks[1] <= 1.2 * peaks[0], f"peak {peaks[1]} B at 4e5 samples against {peaks[0]} B at 5e4"
+
+
+@pytest.mark.parametrize("sub_tau", [100, 1000])
+def test_secondary_pass_memory_does_not_grow_with_sub_tau(sub_tau):
+    # 5e4 windows over the 720 patterns of m=6: no sub-series has the 2 * sub_tau + 2 samples a secondary pair needs
+    ts = om.TimeSeries(np.random.default_rng(0).normal(size=50_000), dt=1.0)
+    seq = om.symbolize(ts, om.WindowConfig(m=6, tau=1))
+    seq.inverse, seq.entries  # the grouping every consumer shares, computed outside the passes
+    _, default = _transient(lambda: om.partition_table(ts, seq))
+    table, wide = _transient(lambda: om.partition_table(ts, seq, om.SubSeriesConfig(tau=sub_tau)))
+    assert table.degenerate.all() and not table.entropy.any()
+    assert wide <= default, f"peak {wide} B at sub tau {sub_tau} against {default} B at the default"
