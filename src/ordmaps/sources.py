@@ -239,23 +239,30 @@ def integrate_mackey_glass(
 
 
 def _mackey_glass(params: MackeyGlassParams, past: deque, cfg: SimulationConfig):
-    """past[0] and past[1] hold x at step-1-d and step-d; past[-1] is x now."""
+    """past[0] and past[1] hold x at step-1-d and step-d; past[-1] is x now. The past[1]
+    of one step is the past[0] of the next, so each is checked and powered once."""
     beta, gamma, n = params.beta, params.gamma, params.exponent
     x = past[-1]
     dt = cfg.dt
     half, sixth = 0.5 * dt, dt / 6.0
     isfinite = math.isfinite
     yield x
+    xd1 = past[0]  # the first step's xd0: the one delayed value never seen as a past[1]
+    if xd1 < 0.0 or past[1] < 0.0:
+        raise DivergenceError("mackey-glass state left the nonnegative domain", step=1)
+    try:
+        p1 = beta * xd1 / (1.0 + xd1**n)
+    except OverflowError:  # float ** raises where * would give inf
+        raise DivergenceError("mackey-glass delayed term overflowed", step=1) from None
     for step in range(1, cfg.total_points):
-        xd0, xd1 = past[0], past[1]
-        if xd0 < 0.0 or xd1 < 0.0:
+        xd0, p0, xd1 = xd1, p1, past[1]
+        if xd1 < 0.0:
             raise DivergenceError("mackey-glass state left the nonnegative domain", step=step)
         xdh = 0.5 * (xd0 + xd1)
         try:
-            p0 = beta * xd0 / (1.0 + xd0**n)
             ph = beta * xdh / (1.0 + xdh**n)
             p1 = beta * xd1 / (1.0 + xd1**n)
-        except OverflowError:  # float ** raises where * would give inf
+        except OverflowError:
             raise DivergenceError("mackey-glass delayed term overflowed", step=step) from None
         k1 = p0 - gamma * x
         k2 = ph - gamma * (x + half * k1)

@@ -7,6 +7,24 @@ import pytest
 import ordmaps as om
 
 
+@pytest.fixture(scope="session", autouse=True)
+def session_trajectory_cache(tmp_path_factory):
+    """The CLI trajectory cache of session- and module-scoped fixtures, which
+    run before any per-test one: never the user's."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("cache")))
+        yield
+
+
+@pytest.fixture(autouse=True)
+def trajectory_cache(tmp_path_factory, monkeypatch):
+    """A fresh, empty CLI trajectory cache per test, never the user's: every
+    CLI run integrates unless the same test stored its trajectory before."""
+    cache = tmp_path_factory.mktemp("cache")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(cache))
+    return cache / "ordmaps"
+
+
 @pytest.fixture(scope="session")
 def lorenz_series():
     return om.integrate_lorenz(cfg=om.SimulationConfig(seed=1))

@@ -16,7 +16,7 @@ from dataclasses import replace
 import numpy as np
 
 from ordmaps import encoding, ranking
-from ordmaps.errors import ConfigError, ParseError, TooShortError
+from ordmaps.errors import ConfigError, DivergenceError, ParseError, TooShortError
 from ordmaps.series import TimeSeries
 
 
@@ -435,3 +435,37 @@ def mackey_glass(beta, gamma, n, d, hv, x, dt, total_points):
         x += sixth * (k1 + 2.0 * (k2 + k3) + k4)
         xs.append(x)
     return xs
+
+
+def mackey_glass_ring(params, past, cfg):
+    """The Mackey-Glass stream as it was before each delayed power was reused.
+
+    Every step checks both delayed values and raises all three to their power,
+    so it stands in for ``ordmaps.sources._mackey_glass`` with the same
+    arguments, outputs and divergence steps.
+    """
+    beta, gamma, n = params.beta, params.gamma, params.exponent
+    x = past[-1]
+    dt = cfg.dt
+    half, sixth = 0.5 * dt, dt / 6.0
+    yield x
+    for step in range(1, cfg.total_points):
+        xd0, xd1 = past[0], past[1]
+        if xd0 < 0.0 or xd1 < 0.0:
+            raise DivergenceError("mackey-glass state left the nonnegative domain", step=step)
+        xdh = 0.5 * (xd0 + xd1)
+        try:
+            p0 = beta * xd0 / (1.0 + xd0**n)
+            ph = beta * xdh / (1.0 + xdh**n)
+            p1 = beta * xd1 / (1.0 + xd1**n)
+        except OverflowError:
+            raise DivergenceError("mackey-glass delayed term overflowed", step=step) from None
+        k1 = p0 - gamma * x
+        k2 = ph - gamma * (x + half * k1)
+        k3 = ph - gamma * (x + half * k2)
+        k4 = p1 - gamma * (x + dt * k3)
+        x += sixth * (k1 + 2.0 * (k2 + k3) + k4)
+        if not math.isfinite(x):
+            raise DivergenceError("mackey-glass state became non-finite", step=step)
+        past.append(x)
+        yield x

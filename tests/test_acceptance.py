@@ -324,11 +324,14 @@ def test_c11_secondary_system_levels(rossler_series, mackey_series, lorenz_serie
     assert ok, clauses[1][1]
 
 
-def test_c12_pipeline_rerun_byte_identical(tmp_path):
+def test_c12_pipeline_rerun_byte_identical(tmp_path, trajectory_cache, monkeypatch):
+    # the pipeline integrates and stores its tail (a miss); the rerun reads it back (a hit)
     first = tmp_path / "first"
     again = tmp_path / "again"
     rc = cli.main(["pipeline", "lorenz", "--seed", "1", "--out-dir", str(first)])
     assert rc == 0
+    assert (trajectory_cache / "lorenz.f8").exists()
+    monkeypatch.setattr(cli, "integrate_lorenz", None)  # a rerun that integrated would fail
     rc = cli.main(["rerun", str(first / "manifest.json"), "--out-dir", str(again)])
     assert rc == 0
 

@@ -313,6 +313,14 @@ def _lorenz_manifest_without_input(tmp_path):
     return path
 
 
+def _lorenz_manifest_with_seed_and_state(tmp_path):
+    spec = json.loads((Path(__file__).parent / "data" / "pipeline_lorenz_manifest.json").read_text())
+    spec["input"]["sim"]["initial_state"] = [1.0, 1.0, 1.0]
+    path = tmp_path / "seed_and_state.json"
+    path.write_text(json.dumps(spec))
+    return path
+
+
 def _lorenz_file_with_one_level(tmp_path):
     path = tmp_path / "lorenz.csv"
     om.dump_series(om.integrate_lorenz(cfg=om.SimulationConfig(seed=1, total_points=20000, discard_fraction=0.5)), path)
@@ -349,6 +357,16 @@ ESCAPES = {
     "usage analyze without input": (["analyze"], None, "the following arguments are required: input"),
     "usage unknown command": (["bogus"], None, "argument command: invalid choice: 'bogus'"),
     "usage unknown flag": (["analyze", "IN", "--zzz", "1"], None, "unrecognized arguments: --zzz 1"),
+    # a seed that the start ignores would give two run specs one trajectory
+    "seed with initial state": (
+        ["generate", "lorenz", "--points", "2000", "--initial-state", "1,1,1", "--seed", "1"], None,
+        "--seed would change nothing: lorenz starts from --initial-state",
+    ),
+    "pipeline seed with initial state": (
+        ["pipeline", "rossler", "--seed", "2", "--initial-state", "1,1,1"], None, "rossler starts from --initial-state"
+    ),
+    "seed on mackey-glass": (["generate", "mackey-glass", "--seed", "1"], None, "mackey-glass starts from its constant history"),
+    "manifest seed with initial state": (["rerun", "IN"], _lorenz_manifest_with_seed_and_state, "lorenz starts from"),
     "kept points below 2": (
         ["generate", "lorenz", "--points", "1000000", "--discard", "0.9999999"], None,
         "only 0 points kept after discarding; need at least 2",

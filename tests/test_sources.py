@@ -5,6 +5,7 @@ import pytest
 
 import ordmaps as om
 import oracles
+from ordmaps import sources
 
 
 def test_kept_points_is_exact_decimal_arithmetic():
@@ -169,6 +170,36 @@ def test_mackey_glass_ring_matches_history_oracle(d, discard):
     assert om.delay_steps(params.delay, cfg.dt) == d
     xs = oracles.mackey_glass(params.beta, params.gamma, params.exponent, d, 0.5, 1.3, cfg.dt, cfg.total_points)
     _assert_matches_oracle(om.integrate_mackey_glass(params=params, cfg=cfg), xs, cfg)
+
+
+MG_CASES = {
+    "default": (om.MackeyGlassParams(), om.SimulationConfig()),
+    # the generate-mackey-glass-flags golden case
+    "golden-flags": (
+        om.MackeyGlassParams(beta=0.2, gamma=0.1, delay=17.0, exponent=10.0, history_value=1.2),
+        om.SimulationConfig(dt=0.1, total_points=3000, discard_fraction=0.3, initial_state=(0.9,)),
+    ),
+    "overflow-late": (om.MackeyGlassParams(gamma=-1.0, exponent=100.0), om.SimulationConfig(total_points=5000)),
+    "negative-late": (om.MackeyGlassParams(beta=-1.0), om.SimulationConfig(total_points=5000)),
+    # d=1: the pre-history overflows its power, yet the negative start is found first
+    "negative-before-overflow": (
+        om.MackeyGlassParams(delay=0.01, exponent=5000.0, history_value=2.0),
+        om.SimulationConfig(total_points=100, initial_state=(-1.0,)),
+    ),
+}
+
+
+@pytest.mark.parametrize("params, cfg", MG_CASES.values(), ids=MG_CASES)
+def test_mackey_glass_matches_the_loop_it_replaced(params, cfg, monkeypatch):
+    def outcome():
+        try:
+            return om.integrate_mackey_glass(params, cfg).samples.tobytes()
+        except om.DivergenceError as exc:
+            return str(exc), exc.step
+
+    reused = outcome()
+    monkeypatch.setattr(sources, "_mackey_glass", oracles.mackey_glass_ring)
+    assert outcome() == reused
 
 
 @pytest.mark.parametrize(
