@@ -245,6 +245,8 @@ def _check(spec: dict) -> SimpleNamespace:
         raise ConfigError(f"a {command} run spec needs the keys {', '.join(required)} and no others")
     if type(spec.get("series_sha256", "")) is not str:
         raise ConfigError("series_sha256 must be a string")
+    if spec.get("version", TOOL_VERSION) != TOOL_VERSION:
+        raise ConfigError(f"version must be {TOOL_VERSION}, got {spec['version']!r}")
     run = SimpleNamespace(spec=spec)
     inp = spec["input"]
     kind = inp.get("kind") if type(inp) is dict else None
@@ -275,6 +277,9 @@ def _check(spec: dict) -> SimpleNamespace:
         if mode == "level" and not 1 <= run.frm["level"] <= top:
             raise ConfigError(f"--level/--frm-level must lie in 1..{top} (--max-levels), got {run.frm['level']}")
         run.patterns = [_shown_pattern(text, run.window.m) for text in run.frm.get("patterns", ())]
+        for k, shown in enumerate(run.patterns):
+            if shown in run.patterns[:k]:  # its map would be written twice under one name
+                raise ConfigError(f"--pattern {shown.dashed()} is given twice")
     if "level_network" in sections:
         run.level_network = _section(spec["level_network"], "level_network", by=by, per_entry=_IS[bool])
     if "embedding" in sections:
@@ -367,9 +372,9 @@ def _frm_maps(series, run, seq=None, table=None):
             maps.append(frm_from_entries(series, entries, source=f"partition:{shown.dashed()}"))
         return maps
     # fewer than 2 entries cannot form a pair; such a partition is recorded by absence
-    picked = (getattr(table, _LEVEL_ATTR[frm["by"]]) == frm["level"]) & (table.entries >= 2)
-    for i in np.flatnonzero(picked).tolist():
-        maps.append(frm_from_entries(series, table.entry_indices(i), source=f"partition:{seq.shown[i]}"))
+    picked = np.flatnonzero((getattr(table, _LEVEL_ATTR[frm["by"]]) == frm["level"]) & (table.entries >= 2))
+    for i, entries in zip(picked.tolist(), table.entry_indices(picked)):
+        maps.append(frm_from_entries(series, entries, source=f"partition:{seq.shown[i]}"))
     return maps
 
 
@@ -386,24 +391,21 @@ def _write_frm(writer, maps):
 
 
 def _write_levels(writer, seq, table, run):
+    """The level files; returns the level of every window, which colours the embedding."""
     by_attr = _LEVEL_ATTR[run.level_network["by"]]
     full = level_sequence(seq, table, by_attr)
-    used = (
-        entry_level_sequence(seq, table, by_attr)
-        if run.level_network["per_entry"]
-        else full
-    )
+    used = entry_level_sequence(seq, table, by_attr) if run.level_network["per_entry"] else full
     net = build_level_network(used)
     writer.emit("level_sequence.csv", lambda p: write_level_sequence_csv(seq, full, p))
     writer.emit("level_network.csv", lambda p: write_level_network_csv(net, p))
+    return full
 
 
-def _write_embedding(writer, series, run, seq, table):
+def _write_embedding(writer, series, run, seq=None, levels=None):
     points = delay_embed(series, run.embedding)
     if seq is None or run.color == "none":
         writer.emit("embedded.csv", lambda p: write_embedding_csv(points, p))
         return
-    levels = level_sequence(seq, table, _LEVEL_ATTR[run.level_network["by"]])
     writer.emit("embedded.csv", lambda p: write_embedding_csv(points, p, seq, levels))
 
 
@@ -438,8 +440,10 @@ def _run_levels(run, series, writer):
 
 
 def _run_embed(run, series, writer):
-    seq, table = _analysis(series, run) if run.color != "none" else (None, None)
-    _write_embedding(writer, series, run, seq, table)
+    if run.color == "none":
+        return _write_embedding(writer, series, run)
+    seq, table = _analysis(series, run)
+    _write_embedding(writer, series, run, seq, level_sequence(seq, table, _LEVEL_ATTR[run.level_network["by"]]))
 
 
 def _run_pipeline(run, series, writer):
@@ -452,8 +456,8 @@ def _run_pipeline(run, series, writer):
     except OrdmapsError:
         pass  # too few maxima is not fatal for the partition pipeline
     _write_frm(writer, maps)
-    _write_levels(writer, seq, table, run)
-    _write_embedding(writer, series, run, seq, table)
+    levels = _write_levels(writer, seq, table, run)
+    _write_embedding(writer, series, run, seq, levels)
 
 
 # per command: the run spec sections it holds besides command, version and
@@ -512,10 +516,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     # flag groups shared by several subcommands; help shows the library defaults
     sim_cfg, win, sub_cfg, lev = SimulationConfig(), WindowConfig(), SubSeriesConfig(), LevelConfig()
-    out, file_in, sim, analysis = (argparse.ArgumentParser(add_help=False) for _ in range(4))
+    out, fmt, sim, analysis, by, color, split, per_entry = (argparse.ArgumentParser(add_help=False) for _ in range(8))
     out.add_argument("--out-dir", help="output directory (default runs/<digest>)")
+    fmt.add_argument("--format", choices=FORMATS, default="csv", help="series file layout (default csv)")
+    file_in = argparse.ArgumentParser(add_help=False, parents=[fmt])
     file_in.add_argument("input", help="series file (one value per row)")
-    file_in.add_argument("--format", choices=FORMATS, default="csv")
     file_in.add_argument("--dt", type=float, help="sample interval if not in the file header")
     sim.add_argument("--dt", type=float, help=f"integration step (default {sim_cfg.dt})")
     sim.add_argument("--points", dest="total_points", type=int, help=f"total points (default {sim_cfg.total_points})")
@@ -531,7 +536,11 @@ def build_parser() -> argparse.ArgumentParser:
     analysis.add_argument("--sub-w", type=int, help=f"sub-series window slide (default {sub_cfg.w})")
     analysis.add_argument("--gap-fraction", type=float, help=f"gap share splitting levels (default {lev.gap_fraction})")
     analysis.add_argument("--max-levels", type=int, help=f"most entropy levels (default {lev.max_levels})")
-    by = {"choices": tuple(_LEVEL_ATTR), "default": "transition"}
+    # the CLI's own flags, each declared once for every subcommand that takes it
+    by.add_argument("--by", choices=tuple(_LEVEL_ATTR), default="transition", help="entropy the levels follow")
+    color.add_argument("--color", choices=_COLORS, default="pattern", help="none: no window columns in embedded.csv")
+    split.add_argument("--sign-split", action="store_true", help="tag maxima by amplitude sign")
+    per_entry.add_argument("--per-entry", action="store_true", help="count transitions between entry events only")
 
     gen = sub.add_parser("generate", help="integrate a benchmark system")
     gen_sub = gen.add_subparsers(dest="input", required=True)
@@ -542,33 +551,26 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("analyze", help="per-partition entropy report", parents=[file_in, analysis, out])
 
-    frm = sub.add_parser("frm", help="first return maps", parents=[file_in, analysis, out])
+    frm = sub.add_parser("frm", help="first return maps", parents=[file_in, analysis, split, by, out])
     frm.add_argument("--pattern", action="append", help="dash-joined pattern; repeatable")
     frm.add_argument("--level", dest="frm_level", type=int, help="all partitions of this entropy level")
     frm.add_argument("--maxima", action="store_true", help="local-maxima baseline map")
-    frm.add_argument("--sign-split", action="store_true", help="tag maxima by amplitude sign")
-    frm.add_argument("--by", **by)
 
-    lev = sub.add_parser("levels", help="level sequence and transition network", parents=[file_in, analysis, out])
-    lev.add_argument("--by", **by)
-    lev.add_argument("--per-entry", action="store_true", help="count transitions between entry events only")
+    sub.add_parser(
+        "levels", help="level sequence and transition network", parents=[file_in, analysis, by, per_entry, out]
+    )
 
-    emb = sub.add_parser("embed", help="time-delay embedding export", parents=[file_in, analysis, out])
+    emb = sub.add_parser("embed", help="time-delay embedding export", parents=[file_in, analysis, color, by, out])
     emb.add_argument("--dim", type=int, required=True, help="embedding dimension")
     emb.add_argument("--lag", type=int, required=True, help="embedding lag in samples")
-    emb.add_argument("--color", choices=_COLORS, default="pattern")
-    emb.add_argument("--by", **by)
 
-    pipe = sub.add_parser("pipeline", help="full analysis in one run", parents=[sim, analysis, out])
+    pipe = sub.add_parser(
+        "pipeline", help="full analysis in one run", parents=[sim, fmt, analysis, color, split, by, per_entry, out]
+    )
     pipe.add_argument("input", metavar="source", help=f"one of {', '.join(SYSTEMS)} or a series file")
-    pipe.add_argument("--format", choices=FORMATS, default="csv")
     pipe.add_argument("--dim", type=int, help="embedding dimension")
     pipe.add_argument("--lag", type=int, help="embedding lag in samples")
-    pipe.add_argument("--color", choices=_COLORS, default="pattern")
     pipe.add_argument("--frm-level", type=int, default=1, help="entropy level whose partitions get FRMs")
-    pipe.add_argument("--sign-split", action="store_true")
-    pipe.add_argument("--by", **by)
-    pipe.add_argument("--per-entry", action="store_true")
 
     rer = sub.add_parser("rerun", help="replay a run from its manifest", parents=[out])
     rer.add_argument("manifest", help="path to a manifest.json")

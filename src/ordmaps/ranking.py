@@ -48,9 +48,12 @@ descending list at the largest consecutive gaps exceeding
 
 :func:`partition_table` returns every partition as columns, a
 :class:`PartitionTable` indexed like ``seq.shown``, with no object per
-partition; the CLI and the writers read it. :func:`analyze_partitions` turns
-the table into one :class:`PartitionReport` per partition, and
-:func:`weighted_entropies` is one row of the same measurement.
+partition and one entry per partition in each array; the CLI and the
+writers read it. Only return maps read entry start indices, so
+:meth:`PartitionTable.entry_indices` gathers those of just the rows asked
+for. :func:`analyze_partitions` turns the table into one
+:class:`PartitionReport` per partition, and :func:`weighted_entropies` is
+one row of the same measurement.
 :func:`rank_partitions` sorts such rows.
 """
 
@@ -266,30 +269,19 @@ def _measure(series: TimeSeries, seq: SymbolSequence, sub_cfg) -> dict[str, np.n
     count = len(seq.pattern_codes)
     occurrence = np.bincount(inverse, minlength=count)
     entries = np.zeros(count, dtype=np.int64)
-    for lo in range(0, len(seq), BLOCK):
-        entries += np.bincount(inverse[lo : lo + BLOCK][entered[lo : lo + BLOCK]], minlength=count)
-    entry_offsets = np.concatenate([[0], np.cumsum(entries)])
-    entry_starts = np.empty(entry_offsets[-1], dtype=starts.dtype)
-    placed = np.zeros(count, dtype=np.int64)  # entry starts written, per partition
     counted = np.zeros(count, dtype=np.int64)  # secondary windows counted, per partition
     # only a partition that is not degenerate counts a secondary window
     parts = np.flatnonzero(occurrence >= sub_cfg.min_samples())
     subseries, tally = (_SubSeries(occurrence, parts, sub_cfg) if len(parts) else None), _Tally()
     for lo in range(0, len(seq), BLOCK):
         piece = inverse[lo : lo + BLOCK]
+        entries += np.bincount(piece[entered[lo : lo + BLOCK]], minlength=count)
+        if subseries is None:
+            continue
         # the block's windows by partition and then by index: the keys are
         # distinct, so a plain sort orders them as a stable argsort would
         label, window = np.divmod(np.sort(piece * BLOCK + np.arange(len(piece))), BLOCK)
-        window += lo
-        inside = entered[window]
-        entry_label = label[inside]
-        first, size, rank = _runs(entry_label)
-        entry_starts[entry_offsets[entry_label] + placed[entry_label] + rank] = starts[window[inside]]
-        placed[entry_label[first]] += size
-        del inside, entry_label, first, size, rank
-        if subseries is None:
-            continue
-        owner, codes = subseries.secondary(label, series.samples[starts[window]])
+        owner, codes = subseries.secondary(label, series.samples[starts[window + lo]])
         if len(owner):
             counted += np.bincount(owner, minlength=count)
             tally.add(owner, codes)
@@ -306,8 +298,6 @@ def _measure(series: TimeSeries, seq: SymbolSequence, sub_cfg) -> dict[str, np.n
         "degenerate": occurrence < sub_cfg.min_samples(),
         "weighted_level": np.ones(count, dtype=np.int64),
         "transition_level": np.ones(count, dtype=np.int64),
-        "entry_starts": entry_starts,
-        "entry_offsets": entry_offsets,
     }
 
 
@@ -317,12 +307,12 @@ _MEASURED = (
 )
 
 
-def _reports(patterns, columns: dict) -> list[PartitionReport]:
+def _reports(patterns, columns: dict, entry_indices: list[np.ndarray]) -> list[PartitionReport]:
     """One report per row of the columns, field by field as :class:`PartitionReport` orders them."""
     rows = zip(
         patterns,
         *(columns[name].tolist() for name in _MEASURED),
-        np.split(columns["entry_starts"], columns["entry_offsets"][1:-1]),
+        entry_indices,
         *(columns[name].tolist() for name in ("degenerate", "weighted_level", "transition_level")),
     )
     return [PartitionReport(*row) for row in rows]
@@ -333,9 +323,8 @@ class PartitionTable:
     """Every occurring partition of ``seq`` as columns, one array per :class:`PartitionReport` field.
 
     Row i is the partition of ``seq.patterns[i]``, shown as ``seq.shown[i]``.
-    The entry start indices of all partitions lie end to end in
-    ``entry_starts``, row i's from ``entry_offsets[i]`` up to
-    ``entry_offsets[i + 1]``.
+    Each array has one entry per row. The entry start indices are no column:
+    :meth:`entry_indices` gathers those of the rows asked for from ``seq``.
     """
 
     seq: SymbolSequence = field(repr=False)
@@ -349,16 +338,26 @@ class PartitionTable:
     degenerate: np.ndarray
     weighted_level: np.ndarray
     transition_level: np.ndarray
-    entry_starts: np.ndarray = field(repr=False)
-    entry_offsets: np.ndarray = field(repr=False)
 
-    def entry_indices(self, i: int) -> np.ndarray:
-        """Start indices of the windows that enter partition i."""
-        return self.entry_starts[self.entry_offsets[i] : self.entry_offsets[i + 1]]
+    def entry_indices(self, rows) -> list[np.ndarray]:
+        """Start indices of the windows that enter each of ``rows``, one array per row.
+
+        ``rows`` must ascend without repeats. One pass over the windows picks the
+        entrances into any of them, and one stable sort groups them by row.
+        """
+        rows = np.asarray(rows, dtype=np.int64)
+        if np.any(np.diff(rows) <= 0):
+            raise ValueError("rows must ascend without repeats")
+        asked = np.zeros(len(self.entries), dtype=bool)
+        asked[rows] = True
+        inverse = self.seq.inverse
+        picked = np.flatnonzero(asked[inverse] & self.seq.entries)
+        picked = picked[np.argsort(inverse[picked], kind="stable")]
+        return np.split(self.seq.start_indices[picked], np.cumsum(self.entries[rows]))[:-1]
 
     def reports(self) -> list[PartitionReport]:
         """The rows, in pattern order, as :func:`analyze_partitions` returns them."""
-        return _reports(self.seq.patterns, vars(self))
+        return _reports(self.seq.patterns, vars(self), self.entry_indices(np.arange(len(self.entries))))
 
 
 def weighted_entropies(
@@ -370,11 +369,8 @@ def weighted_entropies(
     """Measure one partition: shares, sub-series entropy, weighted variants."""
     if (i := seq.index(pattern)) < 0:
         raise PatternAbsentError(f"pattern {pattern.dashed()} does not occur")
-    columns = _measure(series, seq, sub_cfg)
-    lo, hi = columns["entry_offsets"][i : i + 2]
-    row = {name: column[i : i + 1] for name, column in columns.items()}
-    row.update(entry_starts=columns["entry_starts"][lo:hi], entry_offsets=np.array([0, hi - lo]))
-    return _reports([pattern], row)[0]
+    row = {name: column[i : i + 1] for name, column in _measure(series, seq, sub_cfg).items()}
+    return _reports([pattern], row, [entry_points(seq, pattern)])[0]
 
 
 RANK_KEYS = ("weighted_entropy", "transition_entropy")

@@ -305,6 +305,15 @@ def test_rerun_rejects_unknown_command(tmp_path, capsys):
     assert "unknown command" in capsys.readouterr().err
 
 
+def test_rerun_accepts_a_manifest_without_version(tmp_path):
+    spec = json.loads((Path(__file__).parent / "data" / "pipeline_lorenz_manifest.json").read_text())
+    del spec["version"]
+    path = tmp_path / "no_version.json"
+    path.write_text(json.dumps(spec))
+    assert _run(["rerun", path, "--out-dir", tmp_path / "out"]) == 0
+    assert "version" not in json.loads((tmp_path / "out" / "manifest.json").read_text())
+
+
 def _lorenz_manifest_without_input(tmp_path):
     spec = json.loads((Path(__file__).parent / "data" / "pipeline_lorenz_manifest.json").read_text())
     del spec["input"]
@@ -317,6 +326,24 @@ def _lorenz_manifest_with_seed_and_state(tmp_path):
     spec = json.loads((Path(__file__).parent / "data" / "pipeline_lorenz_manifest.json").read_text())
     spec["input"]["sim"]["initial_state"] = [1.0, 1.0, 1.0]
     path = tmp_path / "seed_and_state.json"
+    path.write_text(json.dumps(spec))
+    return path
+
+
+def _lorenz_manifest_with_version(tmp_path):
+    spec = json.loads((Path(__file__).parent / "data" / "pipeline_lorenz_manifest.json").read_text())
+    spec["version"] = {"x": [1]}
+    path = tmp_path / "other_version.json"
+    path.write_text(json.dumps(spec))
+    return path
+
+
+def _frm_manifest_with_pattern_twice(tmp_path):
+    series = tmp_path / "series.csv"
+    om.dump_series(om.TimeSeries(np.arange(50.0), dt=1.0), series)
+    spec = cli._spec_from_args(cli.build_parser().parse_args(["frm", str(series), "--pattern", "1-2-3-4"]))
+    spec["frm"]["patterns"] = ["1-2-3-4", "01-2-3-4"]  # two texts, one parsed pattern
+    path = tmp_path / "pattern_twice.json"
     path.write_text(json.dumps(spec))
     return path
 
@@ -367,6 +394,12 @@ ESCAPES = {
     ),
     "seed on mackey-glass": (["generate", "mackey-glass", "--seed", "1"], None, "mackey-glass starts from its constant history"),
     "manifest seed with initial state": (["rerun", "IN"], _lorenz_manifest_with_seed_and_state, "lorenz starts from"),
+    # two equal maps would share one file name, and a manifest holds only this tool's version
+    "pattern given twice": (
+        ["frm", "IN", "--pattern", "4-3-2-1", "--pattern", "4-3-2-1"], None, "--pattern 4-3-2-1 is given twice"
+    ),
+    "manifest pattern given twice": (["rerun", "IN"], _frm_manifest_with_pattern_twice, "1-2-3-4 is given twice"),
+    "manifest of another version": (["rerun", "IN"], _lorenz_manifest_with_version, "version must be 0.1.0, got {'x': [1]}"),
     "kept points below 2": (
         ["generate", "lorenz", "--points", "1000000", "--discard", "0.9999999"], None,
         "only 0 points kept after discarding; need at least 2",

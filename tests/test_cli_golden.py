@@ -84,8 +84,10 @@ CASES = {
     "levels-noise-m6": ["levels", "NOISE", "--m", 6, "--tau", 1, "--per-entry"],
     # 3,210 partitions, 3,114 of them degenerate, with 5 distinct h_wt: ties in ranks and levels
     "analyze-noise-m7": ["analyze", "NOISE", "--m", 7, "--tau", 1],
-    # 64 return maps, each sliced from the entry offsets
+    # 64 return maps
     "frm-noise-level": ["frm", "NOISE", "--m", 6, "--tau", 1, "--level", 2],
+    # 120 return maps: the one level holds every partition, whose entries are gathered together
+    "frm-noise-one-level": ["frm", "NOISE", "--m", 5, "--tau", 1, "--level", 1, "--gap-fraction", 0.9],
     "embed-noise-m5": ["embed", "NOISE", "--m", 5, "--tau", 1, "--dim", 3, "--lag", 2, "--color", "level"],
     "embed-signed-zeros": ["embed", "ZEROS", "--m", 3, "--dim", 3, "--lag", 1],
     "pipeline-signed-zeros": ["pipeline", "ZEROS"],
@@ -108,6 +110,7 @@ GOLDEN = {
     "embed-tau": "79206933aa23c6a20638085656922674fa0600b50c718a67de3e5f902bd98bb5",
     "frm-level": "8e88208adfff6a4fd9d964fa5290c5c2fbf79f3948603f4e59a5b826d1ec52ef",
     "frm-noise-level": "af0f662fac047f6b34d91d086ce3a96e11fe86d80a67be2797788b1b444a9f41",
+    "frm-noise-one-level": "850aab9bd57011d9e0d190bc3f2a2d70460f967abc07fa0a29d004d69772322f",
     "frm-level-weighted": "cc31a31ec8d0e2bbaff8455f2a540976dfc9169023aacc26560616784dadc1ef",
     "frm-maxima": "5000ce77e0bb6d716ea931199480d30a53fb0e79ec000790fc00ec1943ed7d60",
     "frm-maxima-sign-split": "0aff61181240eb341411c205d3f573e33b8d8f347b72037cb254bf128e8ca0bf",

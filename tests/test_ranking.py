@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -298,8 +299,9 @@ def _assert_table_is_oracle(ts, seq, sub=None, levels=None):
         column = getattr(table, name)
         assert column.shape == (len(want),), name
         assert column.tobytes() == np.array([getattr(r, name) for r in want], dtype=column.dtype).tobytes(), name
-    assert table.entry_offsets.tolist() == np.cumsum([0] + [len(r.entry_indices) for r in want]).tolist()
-    assert np.array_equal(table.entry_starts, np.concatenate([r.entry_indices for r in want]))
+    for mine, theirs in zip(table.entry_indices(np.arange(len(want))), want, strict=True):
+        assert mine.dtype == theirs.entry_indices.dtype
+        assert np.array_equal(mine, theirs.entry_indices)
     got = table.reports()
     assert [r.pattern for r in got] == list(seq.patterns)
     for mine, theirs in zip(got, want, strict=True):
@@ -353,20 +355,29 @@ def test_partition_table_matches_oracle_when_degenerate_or_tied(rng):
 def test_partition_table_matches_oracle_on_lorenz(lorenz_series, lorenz_analysis):
     seq, reports = lorenz_analysis
     table = _assert_table_is_oracle(lorenz_series, seq)
-    assert [table.entry_indices(i).tolist() for i in range(len(reports))] == [r.entry_indices.tolist() for r in reports]
+    rows = np.arange(1, len(reports), 3)  # any ascending rows, gathered together
+    assert [e.tolist() for e in table.entry_indices(rows)] == [reports[i].entry_indices.tolist() for i in rows]
+    assert table.entry_indices([]) == []
+    with pytest.raises(ValueError, match="ascend"):
+        table.entry_indices([2, 1])
 
 
 TABLE_COLUMNS = (
     "occurrence", "entries", "occurrence_share", "entry_share", "entropy", "weighted_entropy",
-    "transition_entropy", "degenerate", *LEVEL_KEYS, "entry_starts", "entry_offsets",
+    "transition_entropy", "degenerate", *LEVEL_KEYS,
 )
 
 
 def _assert_table_is_one_pass_oracle(ts, seq, sub=None):
     table = om.partition_table(ts, seq, sub)
     want = oracles.partition_columns(ts, seq, sub)
+    assert [f.name for f in dataclasses.fields(table)] == ["seq", *TABLE_COLUMNS]  # no field beyond these columns
     for name in TABLE_COLUMNS:
         column = getattr(table, name)
+        assert column.dtype == want[name].dtype and column.tobytes() == want[name].tobytes(), name
+    entry_indices = table.entry_indices(np.arange(len(table.entries)))
+    entry_offsets = np.cumsum([0, *map(len, entry_indices)])
+    for name, column in (("entry_starts", np.concatenate(entry_indices)), ("entry_offsets", entry_offsets)):
         assert column.dtype == want[name].dtype and column.tobytes() == want[name].tobytes(), name
     return want
 
@@ -424,3 +435,20 @@ def test_secondary_pass_memory_does_not_grow_with_sub_tau(sub_tau):
     table, wide = _transient(lambda: om.partition_table(ts, seq, om.SubSeriesConfig(tau=sub_tau)))
     assert table.degenerate.all() and not table.entropy.any()
     assert wide <= default, f"peak {wide} B at sub tau {sub_tau} against {default} B at the default"
+
+
+def test_partition_table_keeps_no_array_over_the_windows():
+    held = []
+    cfg = om.WindowConfig(m=7, tau=1)
+    for n in (50_000, 400_000):
+        ts = om.TimeSeries(np.random.default_rng(0).normal(size=n), dt=1.0)
+        seq = om.symbolize(ts, cfg)
+        seq.inverse, seq.entries  # the grouping every consumer shares, computed outside the table
+        tracemalloc.start()
+        try:
+            table = om.partition_table(ts, seq)
+            held.append(tracemalloc.get_traced_memory()[0])
+        finally:
+            tracemalloc.stop()
+        assert len(table.occurrence) == len(seq.pattern_codes)
+    assert held[1] <= 1.2 * held[0], f"the table keeps {held[1]} B at 4e5 samples against {held[0]} B at 5e4"
