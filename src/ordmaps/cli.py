@@ -75,7 +75,7 @@ from .ranking import (
     partition_table,
 )
 from .returnmaps import frm_from_entries, maxima_frm
-from .series import FORMATS, TimeSeries, check_dt, load_series, series_sha256
+from .series import FORMATS, SampleText, TimeSeries, check_dt, load_series, series_sha256
 from .sources import (
     LorenzParams,
     MackeyGlassParams,
@@ -93,6 +93,7 @@ _PARAMS = dict(zip(SYSTEMS, (LorenzParams, RosslerParams, MackeyGlassParams)))
 _EMBEDDINGS = dict(zip(SYSTEMS, (LORENZ_EMBEDDING, ROSSLER_EMBEDDING, MACKEY_GLASS_EMBEDDING)))
 _LEVEL_ATTR = {"weighted": "weighted_level", "transition": "transition_level"}
 _COLORS = ("pattern", "level", "none")
+_SIM_FLAGS = dict(total_points="--points", discard_fraction="--discard", seed="--seed", initial_state="--initial-state")
 
 
 class _RunWriter:
@@ -163,6 +164,8 @@ def _spec_from_args(args) -> dict:
         params = _PARAMS[system](**_given(args, _PARAMS[system]))
         spec["input"] = {"kind": system, "params": asdict(params), "sim": asdict(SimulationConfig(**sim))}
     else:
+        if unread := [flag for name, flag in _SIM_FLAGS.items() if getattr(args, name, None) is not None]:
+            raise ConfigError(f"{', '.join(unread)} would change nothing: a series file is read, not simulated")
         path = str(Path(args.input).resolve())
         spec["input"] = {"kind": "file", "path": path, "format": args.format, "dt": args.dt}
     sections = _COMMANDS[args.command][0]
@@ -378,16 +381,13 @@ def _frm_maps(series, run, seq=None, table=None):
     return maps
 
 
-def _write_frm(writer, maps):
+def _write_frm(writer, maps, text=None):
     for rm in maps:
         name = "frm_" + rm.source.replace(":", "_") + ".csv"
-        writer.emit(name, lambda p, rm=rm: write_frm_csv(rm, p))
-    writer.emit("frm_all.csv", lambda p: write_frm_combined_csv(maps, p))
+        writer.emit(name, lambda p, rm=rm: write_frm_csv(rm, p, text=text))
+    writer.emit("frm_all.csv", lambda p: write_frm_combined_csv(maps, p, text=text))
     summary = diagonal_summary(maps)
-    writer.emit(
-        "diagonal_summary.json",
-        lambda p: p.write_text(canonical_json(summary), encoding="utf-8"),
-    )
+    writer.emit("diagonal_summary.json", lambda p: p.write_text(canonical_json(summary), encoding="utf-8"))
 
 
 def _write_levels(writer, seq, table, run):
@@ -401,12 +401,10 @@ def _write_levels(writer, seq, table, run):
     return full
 
 
-def _write_embedding(writer, series, run, seq=None, levels=None):
+def _write_embedding(writer, series, run, seq=None, levels=None, text=None):
     points = delay_embed(series, run.embedding)
-    if seq is None or run.color == "none":
-        writer.emit("embedded.csv", lambda p: write_embedding_csv(points, p))
-        return
-    writer.emit("embedded.csv", lambda p: write_embedding_csv(points, p, seq, levels))
+    colour = () if seq is None or run.color == "none" else (seq, levels)
+    writer.emit("embedded.csv", lambda p: write_embedding_csv(points, p, *colour, text=text))
 
 
 # ------------------------------------------------------------- runners
@@ -447,7 +445,8 @@ def _run_embed(run, series, writer):
 
 
 def _run_pipeline(run, series, writer):
-    writer.emit("series.csv", lambda p: write_series_csv(series, p))
+    text = SampleText(series.samples)  # series.csv, embedded.csv and the maps print each sample
+    writer.emit("series.csv", lambda p: write_series_csv(series, p, text=text))
     seq, table = _analysis(series, run)
     _write_analysis(writer, seq, table)
     maps = _frm_maps(series, run, seq, table)
@@ -455,9 +454,9 @@ def _run_pipeline(run, series, writer):
         maps.append(maxima_frm(series, sign_split=run.frm["sign_split"]))
     except OrdmapsError:
         pass  # too few maxima is not fatal for the partition pipeline
-    _write_frm(writer, maps)
+    _write_frm(writer, maps, text)
     levels = _write_levels(writer, seq, table, run)
-    _write_embedding(writer, series, run, seq, levels)
+    _write_embedding(writer, series, run, seq, levels, text)
 
 
 # per command: the run spec sections it holds besides command, version and
@@ -522,7 +521,6 @@ def build_parser() -> argparse.ArgumentParser:
     file_in = argparse.ArgumentParser(add_help=False, parents=[fmt])
     file_in.add_argument("input", help="series file (one value per row)")
     file_in.add_argument("--dt", type=float, help="sample interval if not in the file header")
-    sim.add_argument("--dt", type=float, help=f"integration step (default {sim_cfg.dt})")
     sim.add_argument("--points", dest="total_points", type=int, help=f"total points (default {sim_cfg.total_points})")
     sim.add_argument("--discard", dest="discard_fraction", type=float, help="leading share dropped as transient")
     sim.add_argument("--seed", type=int, help="seed for a random initial state")
@@ -546,6 +544,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen_sub = gen.add_subparsers(dest="input", required=True)
     for system, params in _PARAMS.items():
         p = gen_sub.add_parser(system, parents=[sim, out])
+        p.add_argument("--dt", type=float, help=f"integration step (default {sim_cfg.dt})")
         for f in fields(params):
             p.add_argument("--" + f.name.replace("_", "-"), type=float, help=f"default {f.default:g}")
 
@@ -568,6 +567,8 @@ def build_parser() -> argparse.ArgumentParser:
         "pipeline", help="full analysis in one run", parents=[sim, fmt, analysis, color, split, by, per_entry, out]
     )
     pipe.add_argument("input", metavar="source", help=f"one of {', '.join(SYSTEMS)} or a series file")
+    pipe.add_argument("--dt", type=float, help=f"integration step of a system (default {sim_cfg.dt}), or sample "
+                      "interval of a series file without a '# dt=' header")
     pipe.add_argument("--dim", type=int, help="embedding dimension")
     pipe.add_argument("--lag", type=int, help="embedding lag in samples")
     pipe.add_argument("--frm-level", type=int, default=1, help="entropy level whose partitions get FRMs")

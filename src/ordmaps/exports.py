@@ -6,14 +6,16 @@ with 17 significant digits (round-trip exact), integers as decimals, and
 strings or other objects as ``str`` renders them. A writer casts its bool
 columns to int, so they read 0/1. Rows are rendered by
 :func:`ordmaps.series.write_rows`: chunked, one ``%`` per chunk, each
-distinct float formatted once per chunk. A writer that shows patterns takes
-the symbol sequence and indexes its column ``shown``, the dash-joined text of
-each distinct pattern under the sequence's ranking, rendered once per
-sequence. The partition table and the network carry the sequence they were
-built from, are indexed like ``shown``, and are refused with any other
-sequence; their columns are written as they are, with no row objects. Every
-file carries a header row and rows follow a fixed order, so identical inputs
-produce identical bytes.
+distinct float formatted once per chunk. A writer of sample cells (series,
+embedding, return maps) copies them from its optional ``text``, the
+:class:`ordmaps.series.SampleText` that ``pipeline`` renders once. A writer
+that shows patterns takes the symbol sequence and indexes its column
+``shown``, the dash-joined text of each distinct pattern under the
+sequence's ranking, rendered once per sequence. The partition table and the
+network carry the sequence they were built from, are indexed like ``shown``,
+and are refused with any other sequence; their columns are written as they
+are, with no row objects. Every file carries a header row and rows follow a
+fixed order, so identical inputs produce identical bytes.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .levels import LevelNetwork
 from .network import TransitionCounts, occupancy
 from .ranking import PartitionTable
 from .returnmaps import ReturnMap, diagonal_split, wing_split
-from .series import TimeSeries, dump_series, write_rows
+from .series import CHUNK, SampleText, TimeSeries, dump_series, write_rows
 
 
 def _write_columns(path, header: list[str], columns: list[np.ndarray]) -> None:
@@ -102,8 +104,8 @@ def write_opn_nodes_csv(seq: SymbolSequence, path) -> None:
     _write_columns(path, ["pattern", "occupancy"], [seq.shown, occupancy(seq)])
 
 
-def write_frm_csv(rm: ReturnMap, path) -> None:
-    write_frm_combined_csv([rm], path)
+def write_frm_csv(rm: ReturnMap, path, *, text: SampleText | None = None) -> None:
+    write_frm_combined_csv([rm], path, text=text)
 
 
 def _sources(rm: ReturnMap) -> np.ndarray:
@@ -112,10 +114,11 @@ def _sources(rm: ReturnMap) -> np.ndarray:
     return np.array([f"{rm.source}:{tag}" for tag in rm.entry_tags[: len(rm)]], dtype=object)
 
 
-def write_frm_combined_csv(maps: list[ReturnMap], path) -> None:
+def write_frm_combined_csv(maps: list[ReturnMap], path, *, text: SampleText | None = None) -> None:
+    values = [rm.values if text is None else text.cells(rm.entry_indices, rm.values) for rm in maps]
     columns = [
-        np.concatenate([np.empty(0), *(rm.values[:-1] for rm in maps)]),
-        np.concatenate([np.empty(0), *(rm.values[1:] for rm in maps)]),
+        np.concatenate([np.empty(0), *(v[:-1] for v in values)]),
+        np.concatenate([np.empty(0), *(v[1:] for v in values)]),
         np.concatenate([np.empty(0, dtype=object), *map(_sources, maps)]),
     ]
     _write_columns(path, ["v", "v_next", "source"], columns)
@@ -148,12 +151,13 @@ def write_level_network_csv(net: LevelNetwork, path) -> None:
     _write_columns(path, ["from_level", "to_level", "weight"], [from_level, to_level, net.weights.ravel()])
 
 
-def write_embedding_csv(points: np.ndarray, path, seq: SymbolSequence | None = None, levels=None) -> None:
+def write_embedding_csv(points: np.ndarray, path, seq: SymbolSequence | None = None, levels=None, *, text=None) -> None:
     """Embedded points, coloured by the windows of seq when it is given.
 
     Point k takes the pattern, the level (``levels`` holds one per window)
     and the entry flag of the window starting at sample k; points where no
-    window starts get an empty pattern and level and entry flag 0.
+    window starts get an empty pattern and level and entry flag 0. With
+    ``text``, coordinate j of point k must be sample k + j * lag of its series.
     """
     header = [f"x{j}" for j in range(points.shape[1])]
     columns = list(points.T)
@@ -171,8 +175,20 @@ def write_embedding_csv(points: np.ndarray, path, seq: SymbolSequence | None = N
         is_entry[starts] = seq.entries[inside]
         header += ["pattern", "level", "is_entry"]
         columns += [pattern, level, is_entry]
-    _write_columns(path, header, columns)
+    if text is None:
+        return _write_columns(path, header, columns)
+    count, dim = points.shape
+    lag = (len(text.ends) - count) // max(dim - 1, 1)
+    for j in range(dim):
+        text.check(points[:, j], slice(j * lag, j * lag + count))
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\n")
+        for lo in range(0, count, CHUNK):
+            hi = min(lo + CHUNK, count)
+            lines = text.block(lo, hi + (dim - 1) * lag).split("\n")
+            cells = [np.array(lines[j * lag : j * lag + hi - lo], dtype=object) for j in range(dim)]
+            write_rows(fh, cells + [column[lo:hi] for column in columns[dim:]])
 
 
-def write_series_csv(series: TimeSeries, path) -> None:
-    dump_series(series, path)
+def write_series_csv(series: TimeSeries, path, *, text: SampleText | None = None) -> None:
+    dump_series(series, path, text=text)

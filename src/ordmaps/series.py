@@ -4,7 +4,8 @@ Ingestion is :func:`load_series`, which converts a file a batch of rows at a
 time with one ``float`` map per batch and reads a batch line by line only when
 it holds something other than bare numbers. Serialization includes
 :func:`write_rows`, the one CSV row renderer that :func:`dump_series` and
-every writer in :mod:`ordmaps.exports` share.
+every writer in :mod:`ordmaps.exports` share, and :class:`SampleText`, which
+``pipeline`` renders once to copy every sample cell of its files from it.
 """
 
 from __future__ import annotations
@@ -43,9 +44,9 @@ class TimeSeries:
         if self.samples.ndim != 1:
             raise ValueError(f"samples must be one-dimensional, got shape {self.samples.shape}")
         check_dt(self.dt)
-        finite = np.isfinite(self.samples)
-        if not finite.all():
-            bad = int(np.flatnonzero(~finite)[0])
+        # a finite sum of squares proves every sample finite; np.vdot, unlike np.dot, never warns of overflow
+        if not math.isfinite(np.vdot(self.samples, self.samples)) and not np.isfinite(self.samples).all():
+            bad = int(np.flatnonzero(~np.isfinite(self.samples))[0])
             raise ValueError(f"non-finite sample at index {bad}")
 
     def __len__(self) -> int:
@@ -201,11 +202,43 @@ def write_rows(fh, columns: list[np.ndarray]) -> None:
         fh.write(row * len(block) % tuple(block.ravel().tolist()))
 
 
-def dump_series(series: TimeSeries, path) -> None:
-    """Write the canonical single-column form read back by :func:`load_series`."""
+class SampleText:
+    """Every sample's cell as :func:`write_rows` renders it, rendered once for several files.
+
+    ``text`` holds one newline-terminated line per sample, built CHUNK samples at a time,
+    and line k ends just before ``ends[k]``: no per-sample Python object is kept.
+    """
+
+    def __init__(self, samples: np.ndarray):
+        self.samples = samples = np.asarray(samples, dtype=np.float64)
+        chunks = (samples[lo : lo + CHUNK].tolist() for lo in range(0, len(samples), CHUNK))
+        self.text = "".join("%.17g\n" * len(chunk) % tuple(chunk) for chunk in chunks)
+        self.ends = np.flatnonzero(np.frombuffer(self.text.encode(), np.uint8) == 10) + 1
+
+    def block(self, lo: int, hi: int) -> str:
+        """The lines of samples lo to hi - 1."""
+        return self.text[self.ends[lo - 1] if lo else 0 : self.ends[hi - 1] if hi else 0]
+
+    def cells(self, indices: np.ndarray, values: np.ndarray) -> np.ndarray:
+        """The cells of ``values``, the samples at ``indices``, as an object array of their text."""
+        self.check(values, indices)
+        starts = np.where(indices > 0, self.ends[indices - 1], 0)
+        return np.array([self.text[a : b - 1] for a, b in zip(starts.tolist(), self.ends[indices].tolist())], object)
+
+    def check(self, values: np.ndarray, at=slice(None)) -> None:
+        """Refuse values that are not, bit for bit, the samples ``at``: their cells would be wrong."""
+        if not np.array_equal(self.samples[at].view(np.int64), np.asarray(values, np.float64).view(np.int64)):
+            raise ValueError("the sample text was rendered from other samples")
+
+
+def dump_series(series: TimeSeries, path, *, text: SampleText | None = None) -> None:
+    """Write the canonical single-column form read back by :func:`load_series`, from ``text`` if given."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# dt={series.dt:.17g}\nx\n")
-        write_rows(fh, [series.samples])
+        if text is None:
+            return write_rows(fh, [series.samples])
+        text.check(series.samples)
+        fh.write(text.text)
 
 
 def series_sha256(series: TimeSeries) -> str:

@@ -400,6 +400,12 @@ ESCAPES = {
     ),
     "manifest pattern given twice": (["rerun", "IN"], _frm_manifest_with_pattern_twice, "1-2-3-4 is given twice"),
     "manifest of another version": (["rerun", "IN"], _lorenz_manifest_with_version, "version must be 0.1.0, got {'x': [1]}"),
+    # a series file is read as it is, so a flag that sets up a simulation would go unread
+    "pipeline file with simulation flags": (
+        ["pipeline", "IN", "--seed", "5", "--points", "7", "--discard", "0.3", "--initial-state", "1,2"], None,
+        "--points, --discard, --seed, --initial-state would change nothing: a series file is read, not simulated",
+    ),
+    "pipeline file with points": (["pipeline", "IN", "--points", "7"], None, "--points would change nothing"),
     "kept points below 2": (
         ["generate", "lorenz", "--points", "1000000", "--discard", "0.9999999"], None,
         "only 0 points kept after discarding; need at least 2",
@@ -444,6 +450,15 @@ def test_help_and_version_still_exit_0(argv, capsys):
         _run(argv)
     assert info.value.code == 0
     assert capsys.readouterr().out
+
+
+def test_dt_help_names_both_meanings_only_for_pipeline(capsys):
+    for argv in (["pipeline", "--help"], ["generate", "lorenz", "--help"]):
+        with pytest.raises(SystemExit):
+            _run(argv)
+    pipeline, generate = capsys.readouterr().out.split("usage: ")[1:]
+    assert "sample interval of a series file" in " ".join(pipeline.split())
+    assert "integration step (default 0.01)" in generate and "series file" not in generate
 
 
 # numpy names the size it failed to allocate; an interpreter MemoryError is bare

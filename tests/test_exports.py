@@ -1,4 +1,6 @@
+import io
 import json
+import sys
 import tracemalloc
 
 import numpy as np
@@ -6,7 +8,7 @@ import pytest
 
 import ordmaps as om
 from ordmaps import exports, manifest
-from ordmaps.series import CHUNK
+from ordmaps.series import CHUNK, SampleText, write_rows
 
 from oracles import csv_text, series_text
 
@@ -307,3 +309,113 @@ def test_pattern_writers_refuse_rows_not_indexed_like_seq(tmp_path):
     ):
         with pytest.raises(ValueError, match="built from another symbol sequence"):
             write(seq, rows, tmp_path / "out.csv")
+
+
+# ---- SampleText: each sample rendered once, its cells copied into several files
+
+
+@pytest.mark.parametrize("rows", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5])
+def test_sample_text_matches_per_cell_oracle_and_write_rows(rows):
+    samples = _floats(np.random.default_rng(rows), rows)
+    text = SampleText(samples)
+    rendered = io.StringIO()
+    write_rows(rendered, [samples])
+    lines = csv_text(["x"], [samples]).splitlines(keepends=True)[1:]
+    assert text.text == "".join(lines) == rendered.getvalue()
+    assert text.ends.dtype == np.int64 and text.ends.tolist() == np.cumsum([len(line) for line in lines]).tolist()
+    for lo, hi in [(0, rows), (0, 0), (rows, rows), (rows // 3, rows - rows // 5), (max(rows - 1, 0), rows)]:
+        assert text.block(lo, hi) == "".join(lines[lo:hi])
+    picks = np.random.default_rng(1).integers(0, max(rows, 1), size=min(rows, 50))
+    picks = np.concatenate([[0, rows - 1], picks]).astype(np.int64) if rows else picks.astype(np.int64)
+    assert text.cells(picks, samples[picks]).tolist() == [lines[k][:-1] for k in picks.tolist()]
+
+
+def test_sample_text_refuses_other_samples(tmp_path):
+    samples = np.array([0.0, 1.0, 2.0, 3.0, 4.0])
+    text = SampleText(samples)
+    flipped = samples.copy()
+    flipped[0] = -0.0  # equal under ==, but its cell reads -0
+    with pytest.raises(ValueError, match="rendered from other samples"):
+        om.dump_series(om.TimeSeries(flipped, dt=1.0), tmp_path / "series.csv", text=text)
+    with pytest.raises(ValueError, match="rendered from other samples"):
+        text.cells(np.array([1, 2]), np.array([1.0, 3.0]))
+    points = om.delay_embed(om.TimeSeries(flipped, dt=1.0), om.EmbeddingConfig(dim=2, lag=1))
+    with pytest.raises(ValueError, match="rendered from other samples"):
+        exports.write_embedding_csv(points, tmp_path / "embedded.csv", text=text)
+    rm = om.frm_from_entries(om.TimeSeries(samples[::-1].copy(), dt=1.0), [1, 3])
+    with pytest.raises(ValueError, match="rendered from other samples"):
+        exports.write_frm_csv(rm, tmp_path / "frm.csv", text=text)
+
+
+def test_write_series_csv_through_sample_text(tmp_path):
+    for rows in (2, CHUNK + 1):
+        samples = _floats(np.random.default_rng(rows), rows)
+        series = om.TimeSeries(samples, dt=0.1)
+        exports.write_series_csv(series, tmp_path / "text.csv", text=SampleText(samples))
+        exports.write_series_csv(series, tmp_path / "rows.csv")
+        assert (tmp_path / "text.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+        assert (tmp_path / "text.csv").read_bytes() == series_text(samples, 0.1).encode()
+
+
+# (dim, lag): spans of 1, 2, 9 and 2 * 288 samples; with 3 * CHUNK + 5 samples every span
+# reaches across a chunk boundary from the rows just before it
+@pytest.mark.parametrize("dim, lag", [(2, 1), (3, 1), (3, 9), (2, 288), (3, 288), (4, CHUNK + 3)])
+@pytest.mark.parametrize("colour", [True, False], ids=["coloured", "color-none"])
+def test_write_embedding_csv_through_sample_text(tmp_path, dim, lag, colour):
+    samples = _floats(np.random.default_rng(dim * lag), 3 * CHUNK + 5 + (dim - 1) * lag)
+    series = om.TimeSeries(samples, dt=1.0)
+    points = om.delay_embed(series, om.EmbeddingConfig(dim=dim, lag=lag))
+    header, columns, extra = [f"x{j}" for j in range(dim)], list(points.T), ()
+    if colour:
+        seq = om.symbolize(series, om.WindowConfig(m=3, tau=2, w=3))
+        levels = np.random.default_rng(0).integers(1, 4, size=len(seq))
+        extra = (seq, levels)
+        inside = seq.start_indices < len(points)
+        starts = seq.start_indices[inside]
+        pattern = np.full(len(points), "", dtype=object)
+        pattern[starts] = seq.shown[seq.inverse[inside]]
+        level = np.full(len(points), "", dtype=object)
+        level[starts] = [str(label) for label in levels[inside].tolist()]
+        is_entry = np.zeros(len(points), dtype=np.int64)
+        is_entry[starts] = seq.entries[inside]
+        header, columns = header + ["pattern", "level", "is_entry"], columns + [pattern, level, is_entry]
+    exports.write_embedding_csv(points, tmp_path / "text.csv", *extra, text=SampleText(samples))
+    exports.write_embedding_csv(points, tmp_path / "rows.csv", *extra)
+    assert (tmp_path / "text.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+    assert (tmp_path / "text.csv").read_bytes() == csv_text(header, columns).encode()
+
+
+@pytest.mark.parametrize("sign_split", [False, True], ids=["untagged", "sign-split"])
+def test_write_frm_files_through_sample_text(tmp_path, sign_split):
+    samples = _floats(np.random.default_rng(5), 2 * CHUNK + 7)
+    series = om.TimeSeries(samples, dt=1.0)
+    maxima = om.maxima_frm(series, sign_split=sign_split)
+    picked = om.frm_from_entries(series, np.arange(0, len(samples), 97), source="partition:1-2-3")
+    text = SampleText(samples)
+    for rm in (maxima, picked):
+        exports.write_frm_csv(rm, tmp_path / "text.csv", text=text)
+        exports.write_frm_csv(rm, tmp_path / "rows.csv")
+        assert (tmp_path / "text.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+    exports.write_frm_combined_csv([picked, maxima], tmp_path / "text.csv", text=text)
+    exports.write_frm_combined_csv([picked, maxima], tmp_path / "rows.csv")
+    assert (tmp_path / "text.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+    sources = [f"maxima:{tag}" for tag in maxima.entry_tags[:-1]] if sign_split else ["maxima"] * len(maxima)
+    columns = [
+        np.concatenate([picked.values[:-1], maxima.values[:-1]]),
+        np.concatenate([picked.values[1:], maxima.values[1:]]),
+        np.array(["partition:1-2-3"] * len(picked) + sources, dtype=object),
+    ]
+    assert (tmp_path / "text.csv").read_bytes() == csv_text(["v", "v_next", "source"], columns).encode()
+
+
+def test_sample_text_keeps_its_string_and_eight_bytes_per_sample():
+    samples = np.random.default_rng(0).normal(size=400_000)
+    SampleText(samples[:1000])  # warm-up
+    tracemalloc.start()
+    try:
+        text = SampleText(samples)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    bound = sys.getsizeof(text.text) + 8 * len(samples) + 4096
+    assert kept <= bound, f"SampleText keeps {kept} B for {len(samples)} samples, bound {bound} B"

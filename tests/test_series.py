@@ -1,6 +1,7 @@
 import hashlib
 import random
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -31,6 +32,26 @@ def test_rejects_bad_shapes_and_dt():
 def test_rejects_non_finite_sample_naming_index():
     with pytest.raises(ValueError, match="index 2"):
         om.TimeSeries(samples=[1.0, 2.0, np.nan], dt=1.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("index", [0, 4, 9999])
+def test_non_finite_sample_message_names_its_first_index(bad, index):
+    samples = np.full(10_000, 1e200)  # finite samples whose sum of squares overflows as well
+    samples[index] = bad
+    samples[-1] = np.nan
+    with pytest.raises(ValueError) as info:
+        om.TimeSeries(samples, dt=1.0)
+    assert str(info.value) == f"non-finite sample at index {index}"
+
+
+@pytest.mark.parametrize("big", [1e154, 1e200, -1.7976931348623157e308])
+def test_finite_samples_whose_squares_overflow_are_accepted_without_warning(big):
+    samples = np.array([1.0, big, -big, 0.5])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ts = om.TimeSeries(samples, dt=1.0)
+    assert ts.samples.tolist() == samples.tolist()
 
 
 def test_dump_load_round_trip(tmp_path):
