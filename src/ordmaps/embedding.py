@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoding import WindowConfig
+from .encoding import WindowConfig, window_view
 from .errors import ConfigError, TooShortError
 from .series import TimeSeries
 
@@ -39,17 +39,13 @@ MACKEY_GLASS_EMBEDDING = EmbeddingConfig(dim=2, lag=204)
 
 
 def delay_embed(series: TimeSeries, cfg: EmbeddingConfig) -> np.ndarray:
-    """Embedded points as an (N - span, dim) array."""
+    """Embedded points as an (N - span, dim) array of the caller's own."""
     n = len(series.samples)
-    count = n - cfg.span
-    if count < 1:
+    if n < cfg.span + 1:
         raise TooShortError(
             f"need at least {cfg.span + 1} samples for dim={cfg.dim}, lag={cfg.lag}; got {n}"
         )
-    idx = np.arange(count, dtype=np.int64)[:, None] + np.arange(
-        cfg.dim, dtype=np.int64
-    )[None, :] * cfg.lag
-    return series.samples[idx]
+    return window_view(series.samples, cfg.dim, cfg.lag).copy()
 
 
 def window_from_embedding(cfg: EmbeddingConfig, m: int) -> WindowConfig:

@@ -18,11 +18,11 @@ Patterns are stored canonically in chronological form (one hashable key
 per partition regardless of display scheme); the amplitude rendering is
 derived on demand via :func:`chron_to_amplitude`.
 
-:func:`symbolize` ranks the windows a block of :data:`BLOCK` windows at a
-time: each block is gathered into a BLOCK x m array, argsorted and encoded
-into its slice of the keys, so memory beyond the keys themselves stays at
-one block however long the series. :func:`encode_windows` is that loop, for
-any window starts; the secondary pass of ``ranking`` calls it too.
+Every window is a row of :func:`window_view`, one read-only view of the
+samples. :func:`encode_windows` ranks such rows ``BLOCK // 4`` at a time into
+their slice of the keys, so memory beyond the keys stays at one chunk's
+ranks however long the series. :func:`symbolize` and the secondary pass of
+``ranking`` rank rows of the view, and ``embedding`` copies it.
 
 A :class:`SymbolSequence` groups its windows by key once, as the distinct
 keys and each window's index into them, and renders the dashed text of every
@@ -44,7 +44,7 @@ from .series import TimeSeries
 RANKINGS = ("amplitude", "chronological")
 
 BLOCK = 1 << 14
-"""Windows per block of every pass over the windows: symbolizing, and measuring the partitions."""
+"""Windows per block of the partition pass; :func:`encode_windows` ranks a quarter block at a time."""
 
 
 @dataclass(frozen=True, order=True)
@@ -136,9 +136,20 @@ class WindowConfig:
 
 def window_count(n: int, cfg: WindowConfig) -> int:
     """Number of windows a length-n series yields under cfg."""
-    if n < cfg.span + 1:
-        return 0
-    return (n - cfg.span - 1) // cfg.w + 1
+    return _count(n, cfg.span, cfg.w)
+
+
+def _count(n: int, span: int, w: int) -> int:
+    """Windows covering span + 1 of n samples and sliding by w: floor((n - span - 1) / w) + 1, or none."""
+    return (n - span - 1) // w + 1 if n > span else 0
+
+
+def window_view(samples: np.ndarray, m: int, tau: int, w: int = 1) -> np.ndarray:
+    """The windows of m samples spaced tau apart, sliding by w, as rows of a read-only view of contiguous samples."""
+    samples = np.ascontiguousarray(samples, dtype=np.float64)
+    view = np.ndarray((_count(len(samples), (m - 1) * tau, w), m), np.float64, samples, 0, (8 * w, 8 * tau))
+    view.setflags(write=False)
+    return view
 
 
 @cache
@@ -147,14 +158,6 @@ def _powers(m: int) -> np.ndarray:
     powers = (m + 1) ** np.arange(m - 1, -1, -1, dtype=np.int64)
     powers.flags.writeable = False  # one array shared by every caller
     return powers
-
-
-@cache
-def _offsets(span: int, tau: int) -> np.ndarray:
-    """The offsets of a window's samples from its start."""
-    offsets = np.arange(0, span + 1, tau, dtype=np.int64)
-    offsets.flags.writeable = False  # one array shared by every caller
-    return offsets
 
 
 def encode_perm_rows(rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -265,19 +268,19 @@ class SymbolSequence:
         return self.patterns[self.inverse[k]]
 
 
-def encode_windows(samples: np.ndarray, starts: np.ndarray, cfg: WindowConfig) -> np.ndarray:
-    """The key of the window of ``cfg`` that starts at each of ``starts``, ranked a block of windows at a time.
+def encode_windows(windows: np.ndarray) -> np.ndarray:
+    """The key of each row of the (k, m) array ``windows``, ranked a chunk of rows at a time.
 
-    A block of BLOCK windows is gathered, argsorted and encoded into its slice
-    of the result, so no array of n * m values is ever held.
+    A chunk of BLOCK // 4 rows is argsorted and encoded into its slice of the
+    result, so no array of k * m ranks is ever held.
     """
-    offsets = _offsets(cfg.span, cfg.tau)
-    codes = np.empty(len(starts), dtype=np.int64)
-    for lo in range(0, len(starts), BLOCK):
+    codes = np.empty(len(windows), dtype=np.int64)
+    step = BLOCK // 4
+    for lo in range(0, len(windows), step):
         # a stable argsort gives the earlier index the smaller rank on ties
-        order = samples[starts[lo : lo + BLOCK, None] + offsets].argsort(axis=1, kind="stable")
+        order = windows[lo : lo + step].argsort(axis=1, kind="stable")
         order += 1
-        encode_perm_rows(order, out=codes[lo : lo + BLOCK])
+        encode_perm_rows(order, out=codes[lo : lo + step])
     return codes
 
 
@@ -293,10 +296,9 @@ def symbolize(series: TimeSeries, cfg: WindowConfig | None = None) -> SymbolSequ
         raise TooShortError(
             f"need at least {cfg.span + 1} samples for m={cfg.m}, tau={cfg.tau}; got {n}"
         )
-    starts = np.arange(0, window_count(n, cfg) * cfg.w, cfg.w, dtype=np.int64)
-    return SymbolSequence(
-        codes=encode_windows(series.samples, starts, cfg), start_indices=starts, source_len=n, config=cfg
-    )
+    codes = encode_windows(window_view(series.samples, cfg.m, cfg.tau, cfg.w))
+    starts = np.arange(0, len(codes) * cfg.w, cfg.w, dtype=np.int64)
+    return SymbolSequence(codes=codes, start_indices=starts, source_len=n, config=cfg)
 
 
 def distinct_patterns(seq: SymbolSequence) -> list[tuple[OrdinalPattern, int]]:

@@ -35,11 +35,11 @@ partition when it starts in phase with the sub-series' own slide w and the
 next in-phase window still ends inside that sub-series: the last window is
 left out, as p_i is the row-sum occupancy (see ``network``). The counted
 windows are tallied per (partition, secondary pattern) pair, keeping only
-the pairs that occur. The entropy terms are then summed in partition-aligned
-blocks of at most ``BLOCK`` pairs (a partition with more pairs gets a block
-of its own), and within a block the partitions that have the same number of
-terms are summed as one batch, each partition's terms added in the order a
-sum over that partition alone takes.
+the pairs that occur. The entropy terms are then summed by pair count: the
+partitions with L pairs are summed together, at most ``BLOCK // L`` of them
+(and at least one) per batch, each partition's terms one row that adds up in
+the order a sum over that partition alone takes. One search of the tally's
+keys finds where each partition's pairs begin.
 
 Sorting partitions by a weighted entropy typically shows plateaus
 separated by sharp drops. :func:`detect_levels` formalizes that: split the
@@ -60,11 +60,11 @@ one row of the same measurement.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .encoding import BLOCK, OrdinalPattern, SymbolSequence, WindowConfig, encode_windows, entry_mask
+from .encoding import BLOCK, OrdinalPattern, SymbolSequence, WindowConfig, encode_windows, entry_mask, window_view
 from .errors import ConfigError, PatternAbsentError
 from .series import TimeSeries
 
@@ -159,7 +159,7 @@ class _SubSeries:
     """
 
     def __init__(self, occurrence: np.ndarray, parts: np.ndarray, sub_cfg: SubSeriesConfig):
-        self.window = replace(sub_cfg.window(), w=1)
+        self.window = sub_cfg.window()  # its slide w decides which windows count, see secondary
         self.w = sub_cfg.w
         self.parts = parts
         self.slot = np.full(len(occurrence), -1)  # each partition's row among parts, -1 if not one
@@ -193,7 +193,8 @@ class _SubSeries:
         self.tail[part] = laid[held + size[:, None]]
         if not counted.any():
             return label[:0], at[:0]
-        return self.parts[label[counted]], encode_windows(laid, at[counted] - span, self.window)
+        windows = window_view(laid, self.window.m, self.window.tau)[at[counted] - span]
+        return self.parts[label[counted]], encode_windows(windows)
 
 
 class _Tally:
@@ -229,33 +230,29 @@ class _Tally:
 
 
 def _entropy_sums(tally: _Tally, counted: np.ndarray, shares: np.ndarray) -> np.ndarray:
-    """The sums of h, h_w and h_wt of every partition, as rows, in blocks of at most BLOCK pairs.
+    """The sums of h, h_w and h_wt of every partition, as rows.
 
-    A block holds whole partitions, and a partition with more pairs has a block of its own.
+    The partitions with L pairs are summed together, at most BLOCK // L of them
+    (and at least one) per batch, each partition's terms one C-contiguous row.
     """
     # math.log2 of each share, and a numpy sum over each partition's own
     # terms, round exactly as the one-partition formulas do
     log_shares = np.array([[math.log2(k) for k in ks] for ks in shares.tolist()])
     sums = np.zeros((3, len(counted)))
     width = max(len(tally.codes), 1)
-    lengths = np.bincount(tally.keys // width, minlength=len(counted))  # pairs per partition
-    ends = np.cumsum(lengths)
-    lo = 0
-    while lo < len(lengths):
-        hi = max(int(np.searchsorted(ends, ends[lo] - lengths[lo] + BLOCK, side="right")), lo + 1)
-        pairs = slice(ends[lo] - lengths[lo], ends[hi - 1])
-        row = tally.keys[pairs] // width
-        p = tally.counts[pairs] / counted[row]
-        log_p = np.log2(p)
-        terms = np.stack([p * log_p, *(k[row] * p * (log_p + log_k[row]) for k, log_k in zip(shares, log_shares))])
-        first = np.cumsum(lengths[lo:hi]) - lengths[lo:hi]
-        for length in (np.flatnonzero(np.bincount(lengths[lo:hi])[1:]) + 1).tolist():
-            which = np.flatnonzero(lengths[lo:hi] == length)
+    first = np.searchsorted(tally.keys, np.arange(len(counted)) * width)  # each partition's first pair
+    lengths = np.diff(first, append=len(tally.keys))
+    for length in (np.flatnonzero(np.bincount(lengths)[1:]) + 1).tolist():
+        which, batch = np.flatnonzero(lengths == length), max(BLOCK // length, 1)
+        for lo in range(0, len(which), batch):
+            rows = which[lo : lo + batch]
+            p = tally.counts[first[rows, None] + np.arange(length)] / counted[rows, None]
+            log_p = np.log2(p)
             # summed over a C-contiguous last axis, each row adds up pairwise
-            # exactly as its own terms[:, a:b].sum(axis=1) would
-            block = np.ascontiguousarray(terms[:, first[which, None] + np.arange(length)])
-            sums[:, lo + which] = block.sum(axis=2)
-        lo = hi
+            # exactly as a sum over that partition's terms alone would
+            sums[0, rows] = (p * log_p).sum(axis=1)
+            for sum_k, k, log_k in zip(sums[1:], shares, log_shares):
+                sum_k[rows] = (k[rows, None] * p * (log_p + log_k[rows, None])).sum(axis=1)
     return sums
 
 

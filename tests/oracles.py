@@ -296,6 +296,17 @@ def symbolize_one_shot(series, cfg):
     return encoding.encode_perm_rows(order + 1), starts
 
 
+def delay_embed(samples, dim, lag):
+    """Embedding points gathered by index: row k holds samples k, k + lag, ..., k + (dim - 1) * lag.
+
+    The gather of ``ordmaps.embedding.delay_embed`` before it copied the rows
+    of ``ordmaps.encoding.window_view``.
+    """
+    count = len(samples) - (dim - 1) * lag
+    idx = np.arange(count, dtype=np.int64)[:, None] + np.arange(dim, dtype=np.int64)[None, :] * lag
+    return samples[idx]
+
+
 def partition_columns(series, seq, sub_cfg=None, level_cfg=None):
     """Every column of ``ordmaps.ranking.partition_table``, all partitions measured in one pass.
 

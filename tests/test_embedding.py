@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 import ordmaps as om
+import oracles
+from ordmaps.encoding import BLOCK
 
 
 def test_delay_embed_rows():
@@ -18,6 +20,24 @@ def test_delay_embed_boundary():
     assert om.delay_embed(ts, cfg).shape == (1, 3)
     with pytest.raises(om.TooShortError, match="at least 5"):
         om.delay_embed(om.TimeSeries(np.arange(4.0), dt=1.0), cfg)
+
+
+@pytest.mark.parametrize("dim, lag", [(2, 1), (3, 9), (4, 2), (2, BLOCK // 4 + 1), (3, BLOCK // 4 - 1)])
+def test_delay_embed_matches_gather_oracle(dim, lag, rng):
+    # 2 * BLOCK + 3 samples: more points than one block, and in the last two cases a span longer than BLOCK // 4
+    ts = om.TimeSeries(rng.standard_normal(2 * BLOCK + 3), dt=1.0)
+    pts = om.delay_embed(ts, om.EmbeddingConfig(dim=dim, lag=lag))
+    want = oracles.delay_embed(ts.samples, dim, lag)
+    assert pts.dtype == want.dtype and pts.shape == want.shape and pts.tobytes() == want.tobytes()
+    assert pts.flags.c_contiguous
+
+
+def test_delay_embed_returns_a_writeable_copy():
+    ts = om.TimeSeries(np.arange(10.0), dt=1.0)
+    pts = om.delay_embed(ts, om.EmbeddingConfig(dim=3, lag=2))
+    assert pts.flags.writeable
+    pts[:] = -1.0
+    assert ts.samples.tolist() == list(range(10))
 
 
 def test_embedding_config_validation():

@@ -165,6 +165,35 @@ def test_symbolize_blocks_match_one_shot_oracle(windows, rng):
             assert seq.start_indices.dtype == starts.dtype and seq.start_indices.tobytes() == starts.tobytes()
 
 
+def test_strided_and_read_only_samples_give_the_bytes_of_their_contiguous_copy(rng):
+    n = BLOCK // 2 + 3  # windows across more than one rank chunk
+    column = rng.standard_normal((n, 3))[:, 1]
+    every_other = rng.standard_normal(2 * n)[::2]
+    frozen = rng.integers(0, 3, size=n).astype(float)
+    frozen.flags.writeable = False
+    for samples in (column, every_other, frozen):
+        ts, copy = om.TimeSeries(samples, dt=1.0), om.TimeSeries(samples.copy(), dt=1.0)
+        assert ts.samples is samples and copy.samples.flags.c_contiguous and copy.samples.flags.writeable
+        for cfg in (om.WindowConfig(m=4, tau=2), om.WindowConfig(m=5, tau=1, w=3)):
+            seq, want = om.symbolize(ts, cfg), om.symbolize(copy, cfg)
+            assert seq.codes.tobytes() == want.codes.tobytes()
+            table, want_table = om.partition_table(ts, seq), om.partition_table(copy, want)
+            for name, values in vars(table).items():
+                if name != "seq":
+                    assert values.tobytes() == getattr(want_table, name).tobytes(), name
+        embedding = om.EmbeddingConfig(dim=3, lag=9)
+        assert om.delay_embed(ts, embedding).tobytes() == om.delay_embed(copy, embedding).tobytes()
+
+
+def test_window_view_is_a_read_only_view_of_contiguous_samples():
+    samples = np.arange(12.0)
+    view = om.encoding.window_view(samples, 3, 2, 3)
+    assert view.tolist() == [[0, 2, 4], [3, 5, 7], [6, 8, 10]]
+    assert view.base is samples and not view.flags.writeable
+    assert om.encoding.window_view(samples[::2], 2, 1).base is not samples  # a strided input is copied first
+    assert om.encoding.window_view(samples, 3, 6).shape == (0, 3)
+
+
 def test_symbolize_stride_and_start_indices():
     ts = om.TimeSeries(np.arange(10.0), dt=1.0)
     seq = om.symbolize(ts, om.WindowConfig(m=3, tau=2, w=3))

@@ -402,6 +402,32 @@ def test_partition_table_sums_more_pairs_than_a_block_like_one_pass_oracle(rng, 
     assert pairs[0] > BLOCK  # so the sums run over more than one partition-aligned block of pairs
 
 
+@pytest.mark.parametrize(
+    "m, sub, batched",
+    [
+        # two partitions of about 5e4 windows, each with more of the 8! secondary patterns than BLOCK
+        pytest.param(2, om.SubSeriesConfig(m=8), lambda lengths: lengths.max() > BLOCK, id="more-pairs-than-a-block"),
+        # 5040 partitions with at most 6 pairs each: some pair count L is shared by more than BLOCK // L of them
+        pytest.param(
+            7, None, lambda lengths: any(n > BLOCK // L for L, n in enumerate(np.bincount(lengths)) if L),
+            id="more-partitions-than-a-batch",
+        ),
+    ],
+)
+def test_entropy_sum_batches_match_one_pass_oracle(m, sub, batched, rng, monkeypatch):
+    lengths = []
+    sums = ranking._entropy_sums
+
+    def pair_counts(tally, *a):
+        lengths.append(np.bincount(tally.keys // max(len(tally.codes), 1)))
+        return sums(tally, *a)
+
+    monkeypatch.setattr(ranking, "_entropy_sums", pair_counts)
+    ts = om.TimeSeries(rng.standard_normal(100_000), dt=1.0)
+    _assert_table_is_one_pass_oracle(ts, om.symbolize(ts, om.WindowConfig(m=m, tau=1)), sub)
+    assert batched(lengths[0])
+
+
 def _transient(call):
     """What ``call`` returns, and its traced peak less the memory it leaves allocated."""
     tracemalloc.start()
