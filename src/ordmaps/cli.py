@@ -19,6 +19,10 @@ object from the spec, for flags and ``rerun`` manifests alike, before any
 series is loaded or integrated. When ``--out-dir`` is omitted, outputs land
 in ``runs/<manifest digest prefix>/``. Any bad input ends with one
 ``error: ...`` line, exit code 1 and no files left behind.
+
+A command is a tuple of stages, each writing one group of files; pipeline runs
+those of generate, analyze, levels and embed, plus its own map stage. A run
+computes each part of its analysis when a stage first reads it, and only then.
 """
 
 from __future__ import annotations
@@ -28,9 +32,9 @@ import hashlib
 import os
 import sys
 from contextlib import suppress
-from dataclasses import asdict, fields
+from dataclasses import asdict, dataclass, fields
+from functools import cached_property
 from pathlib import Path
-from types import SimpleNamespace
 from typing import get_type_hints
 
 import numpy as np
@@ -93,7 +97,10 @@ _PARAMS = dict(zip(SYSTEMS, (LorenzParams, RosslerParams, MackeyGlassParams)))
 _EMBEDDINGS = dict(zip(SYSTEMS, (LORENZ_EMBEDDING, ROSSLER_EMBEDDING, MACKEY_GLASS_EMBEDDING)))
 _LEVEL_ATTR = {"weighted": "weighted_level", "transition": "transition_level"}
 _COLORS = ("pattern", "level", "none")
+# dest -> flag: the flags that only a simulation reads, and those that a maxima map never reads
 _SIM_FLAGS = dict(total_points="--points", discard_fraction="--discard", seed="--seed", initial_state="--initial-state")
+_WINDOW_FLAGS = {name: "--" + name.replace("_", "-") for name in (
+    "m", "tau", "w", "ranking", "sub_m", "sub_tau", "sub_w", "gap_fraction", "max_levels", "by")}
 
 
 class _RunWriter:
@@ -140,12 +147,18 @@ def _parse_initial_state(text):
         raise ConfigError(f"cannot parse initial state {text!r}") from None
 
 
-def _frm_spec(args) -> dict:
+def _refuse_unread(args, flags: dict, why: str) -> None:
+    """One error naming every given flag of flags (dest -> flag), none of which the run reads."""
+    if unread := [flag for name, flag in flags.items() if getattr(args, name, None) is not None]:
+        raise ConfigError(f"{', '.join(unread)} would change nothing: {why}")
+
+
+def _frm_spec(args, by: str) -> dict:
     pattern, maxima = getattr(args, "pattern", None), getattr(args, "maxima", False)
     if (pattern is not None) + (args.frm_level is not None) + maxima != 1:
         raise ConfigError("choose exactly one of --pattern, --level, --maxima")
     # frm draws a maxima map only in --maxima mode; pipeline always adds one
-    frm = {"by": args.by, "sign_split": args.sign_split and (maxima or args.command == "pipeline")}
+    frm = {"by": by, "sign_split": args.sign_split and (maxima or args.command == "pipeline")}
     if maxima:
         return {"mode": "maxima", **frm}
     if pattern is not None:
@@ -164,10 +177,12 @@ def _spec_from_args(args) -> dict:
         params = _PARAMS[system](**_given(args, _PARAMS[system]))
         spec["input"] = {"kind": system, "params": asdict(params), "sim": asdict(SimulationConfig(**sim))}
     else:
-        if unread := [flag for name, flag in _SIM_FLAGS.items() if getattr(args, name, None) is not None]:
-            raise ConfigError(f"{', '.join(unread)} would change nothing: a series file is read, not simulated")
+        _refuse_unread(args, _SIM_FLAGS, "a series file is read, not simulated")
         path = str(Path(args.input).resolve())
         spec["input"] = {"kind": "file", "path": path, "format": args.format, "dt": args.dt}
+    if getattr(args, "maxima", False):
+        _refuse_unread(args, _WINDOW_FLAGS, "--maxima reads no window")
+    by = getattr(args, "by", None) or "transition"  # None tells a given --by from its default
     sections = _COMMANDS[args.command][0]
     if "embedding" in sections:
         given = _given(args, EmbeddingConfig)
@@ -182,9 +197,9 @@ def _spec_from_args(args) -> dict:
         spec["subseries"] = asdict(SubSeriesConfig(**_given(args, SubSeriesConfig, "sub_")))
         spec["levels"] = asdict(LevelConfig(**_given(args, LevelConfig)))
     if "frm" in sections:
-        spec["frm"] = _frm_spec(args)
+        spec["frm"] = _frm_spec(args, by)
     if "level_network" in sections:
-        spec["level_network"] = {"by": args.by, "per_entry": getattr(args, "per_entry", False)}
+        spec["level_network"] = {"by": by, "per_entry": getattr(args, "per_entry", False)}
     return spec
 
 
@@ -237,7 +252,28 @@ def _shown_pattern(text: str, m: int) -> OrdinalPattern:
     return shown
 
 
-def _check(spec: dict) -> SimpleNamespace:
+@dataclass
+class _Run:
+    """A checked run spec with its config objects, its series and its analysis, computed on first read."""
+
+    spec: dict
+    text: SampleText | None = None  # the one SampleText of a run whose files all print the samples
+
+    @cached_property
+    def seq(self):
+        return symbolize(self.series, self.window)
+
+    @cached_property
+    def table(self):
+        return partition_table(self.series, self.seq, self.subseries, self.levels)
+
+    @cached_property
+    def window_levels(self):
+        """The level of every window, by the entropy the level network follows."""
+        return level_sequence(self.seq, self.table, _LEVEL_ATTR[self.level_network["by"]])
+
+
+def _check(spec: dict) -> _Run:
     """Every config object of a run spec, built before any input is read."""
     command = spec.get("command")
     if type(command) is not str or command not in _COMMANDS:
@@ -250,7 +286,7 @@ def _check(spec: dict) -> SimpleNamespace:
         raise ConfigError("series_sha256 must be a string")
     if spec.get("version", TOOL_VERSION) != TOOL_VERSION:
         raise ConfigError(f"version must be {TOOL_VERSION}, got {spec['version']!r}")
-    run = SimpleNamespace(spec=spec)
+    run = _Run(spec)
     inp = spec["input"]
     kind = inp.get("kind") if type(inp) is dict else None
     if kind == "file":
@@ -287,7 +323,6 @@ def _check(spec: dict) -> SimpleNamespace:
         run.level_network = _section(spec["level_network"], "level_network", by=by, per_entry=_IS[bool])
     if "embedding" in sections:
         run.embedding = _section(spec["embedding"], "embedding", EmbeddingConfig, color=_one_of(*_COLORS))
-        run.color = spec["embedding"]["color"]
     return run
 
 
@@ -347,15 +382,15 @@ def _trajectory(run):
     return series, digest
 
 
-# ------------------------------------------------------------- analysis
+# --------------------------------------------------------------- stages
 
 
-def _analysis(series, run):
-    seq = symbolize(series, run.window)
-    return seq, partition_table(series, seq, run.subseries, run.levels)
+def _series_file(run, writer):
+    writer.emit("series.csv", lambda p: write_series_csv(run.series, p, text=run.text))
 
 
-def _write_analysis(writer, seq, table):
+def _analysis_files(run, writer):
+    seq, table = run.seq, run.table
     tc = build_opn(seq)
     writer.emit("symbols.csv", lambda p: write_symbols_csv(seq, p))
     writer.emit("partitions.csv", lambda p: write_partitions_csv(seq, table, p))
@@ -364,130 +399,94 @@ def _write_analysis(writer, seq, table):
     writer.emit("opn_nodes.csv", lambda p: write_opn_nodes_csv(seq, p))
 
 
-def _frm_maps(series, run, seq=None, table=None):
-    frm = run.frm
-    if frm["mode"] == "maxima":
-        return [maxima_frm(series, sign_split=frm["sign_split"])]
-    maps = []
-    if frm["mode"] == "pattern":
+def _partition_maps(run):
+    """The maps of the frm section's patterns, or of every partition at its level."""
+    seq, maps = run.seq, []
+    if run.frm["mode"] == "pattern":
         for shown in run.patterns:
             entries = entry_points(seq, canonical_pattern(shown, run.window.ranking))
-            maps.append(frm_from_entries(series, entries, source=f"partition:{shown.dashed()}"))
+            maps.append(frm_from_entries(run.series, entries, source=f"partition:{shown.dashed()}"))
         return maps
+    table = run.table
     # fewer than 2 entries cannot form a pair; such a partition is recorded by absence
-    picked = np.flatnonzero((getattr(table, _LEVEL_ATTR[frm["by"]]) == frm["level"]) & (table.entries >= 2))
+    picked = np.flatnonzero((getattr(table, _LEVEL_ATTR[run.frm["by"]]) == run.frm["level"]) & (table.entries >= 2))
     for i, entries in zip(picked.tolist(), table.entry_indices(picked)):
-        maps.append(frm_from_entries(series, entries, source=f"partition:{seq.shown[i]}"))
+        maps.append(frm_from_entries(run.series, entries, source=f"partition:{seq.shown[i]}"))
     return maps
 
 
-def _write_frm(writer, maps, text=None):
+def _write_maps(run, writer, maps):
     for rm in maps:
         name = "frm_" + rm.source.replace(":", "_") + ".csv"
-        writer.emit(name, lambda p, rm=rm: write_frm_csv(rm, p, text=text))
-    writer.emit("frm_all.csv", lambda p: write_frm_combined_csv(maps, p, text=text))
+        writer.emit(name, lambda p, rm=rm: write_frm_csv(rm, p, text=run.text))
+    writer.emit("frm_all.csv", lambda p: write_frm_combined_csv(maps, p, text=run.text))
     summary = diagonal_summary(maps)
     writer.emit("diagonal_summary.json", lambda p: p.write_text(canonical_json(summary), encoding="utf-8"))
 
 
-def _write_levels(writer, seq, table, run):
-    """The level files; returns the level of every window, which colours the embedding."""
+def _frm_files(run, writer):
+    """The maps of the frm command, which fails when its mode gives none."""
+    if run.frm["mode"] == "maxima":
+        maps = [maxima_frm(run.series, sign_split=run.frm["sign_split"])]
+    elif not (maps := _partition_maps(run)):  # a pattern without a map raises on its own
+        level, by = run.frm["level"], run.frm["by"]
+        raise EmptyMapError(f"no partition at level {level} (by {by}) has the 2 entry points a map needs", count=0)
+    _write_maps(run, writer, maps)
+
+
+def _pipeline_maps(run, writer):
+    """The partition maps of pipeline, plus the maxima map when the series has one."""
+    maps = _partition_maps(run)
+    try:
+        maps.append(maxima_frm(run.series, sign_split=run.frm["sign_split"]))
+    except OrdmapsError:
+        pass  # too few maxima is not fatal for the partition pipeline
+    _write_maps(run, writer, maps)
+
+
+def _level_files(run, writer):
+    seq, table, full = run.seq, run.table, run.window_levels
     by_attr = _LEVEL_ATTR[run.level_network["by"]]
-    full = level_sequence(seq, table, by_attr)
     used = entry_level_sequence(seq, table, by_attr) if run.level_network["per_entry"] else full
     net = build_level_network(used)
     writer.emit("level_sequence.csv", lambda p: write_level_sequence_csv(seq, full, p))
     writer.emit("level_network.csv", lambda p: write_level_network_csv(net, p))
-    return full
 
 
-def _write_embedding(writer, series, run, seq=None, levels=None, text=None):
-    points = delay_embed(series, run.embedding)
-    colour = () if seq is None or run.color == "none" else (seq, levels)
-    writer.emit("embedded.csv", lambda p: write_embedding_csv(points, p, *colour, text=text))
-
-
-# ------------------------------------------------------------- runners
-
-
-def _run_generate(run, series, writer):
-    writer.emit("series.csv", lambda p: write_series_csv(series, p))
-
-
-def _run_analyze(run, series, writer):
-    seq, table = _analysis(series, run)
-    _write_analysis(writer, seq, table)
-
-
-def _run_frm(run, series, writer):
-    seq = table = None
-    if run.frm["mode"] == "pattern":
-        seq = symbolize(series, run.window)
-    elif run.frm["mode"] == "level":
-        seq, table = _analysis(series, run)
-    maps = _frm_maps(series, run, seq, table)
-    if not maps:  # the other modes raise on their own; pipeline adds a maxima map
-        level, by = run.frm["level"], run.frm["by"]
-        raise EmptyMapError(f"no partition at level {level} (by {by}) has the 2 entry points a map needs", count=0)
-    _write_frm(writer, maps)
-
-
-def _run_levels(run, series, writer):
-    seq, table = _analysis(series, run)
-    _write_levels(writer, seq, table, run)
-
-
-def _run_embed(run, series, writer):
-    if run.color == "none":
-        return _write_embedding(writer, series, run)
-    seq, table = _analysis(series, run)
-    _write_embedding(writer, series, run, seq, level_sequence(seq, table, _LEVEL_ATTR[run.level_network["by"]]))
-
-
-def _run_pipeline(run, series, writer):
-    text = SampleText(series.samples)  # series.csv, embedded.csv and the maps print each sample
-    writer.emit("series.csv", lambda p: write_series_csv(series, p, text=text))
-    seq, table = _analysis(series, run)
-    _write_analysis(writer, seq, table)
-    maps = _frm_maps(series, run, seq, table)
-    try:
-        maps.append(maxima_frm(series, sign_split=run.frm["sign_split"]))
-    except OrdmapsError:
-        pass  # too few maxima is not fatal for the partition pipeline
-    _write_frm(writer, maps, text)
-    levels = _write_levels(writer, seq, table, run)
-    _write_embedding(writer, series, run, seq, levels, text)
+def _embedding_file(run, writer):
+    colour = () if run.spec["embedding"]["color"] == "none" else (run.seq, run.window_levels)
+    points = delay_embed(run.series, run.embedding)
+    writer.emit("embedded.csv", lambda p: write_embedding_csv(points, p, *colour, text=run.text))
 
 
 # per command: the run spec sections it holds besides command, version and
-# input, and its runner
+# input, and the stages that write its files, in order
 _ANALYSIS = ("window", "subseries", "levels")
 _COMMANDS = {
-    "generate": ((), _run_generate),
-    "analyze": (_ANALYSIS, _run_analyze),
-    "frm": (_ANALYSIS + ("frm",), _run_frm),
-    "levels": (_ANALYSIS + ("level_network",), _run_levels),
-    "embed": (_ANALYSIS + ("level_network", "embedding"), _run_embed),
-    "pipeline": (_ANALYSIS + ("frm", "level_network", "embedding"), _run_pipeline),
+    "generate": ((), (_series_file,)),
+    "analyze": (_ANALYSIS, (_analysis_files,)),
+    "frm": (_ANALYSIS + ("frm",), (_frm_files,)),
+    "levels": (_ANALYSIS + ("level_network",), (_level_files,)),
+    "embed": (_ANALYSIS + ("level_network", "embedding"), (_embedding_file,)),
+    "pipeline": (
+        _ANALYSIS + ("frm", "level_network", "embedding"),
+        (_series_file, _analysis_files, _pipeline_maps, _level_files, _embedding_file),
+    ),
 }
 
 
 def _execute(spec: dict, out_dir_arg) -> int:
     run = _check(spec)
-    series = _realize_input(run)
-    out_dir = (
-        Path(out_dir_arg)
-        if out_dir_arg
-        else Path("runs") / manifest_digest(spec)[:12]
-    )
+    run.series = _realize_input(run)
+    if spec["command"] == "pipeline":  # series.csv, embedded.csv and the maps print each sample
+        run.text = SampleText(run.series.samples)
+    out_dir = Path(out_dir_arg) if out_dir_arg else Path("runs") / manifest_digest(spec)[:12]
     writer = _RunWriter(out_dir)
     try:
-        _COMMANDS[spec["command"]][1](run, series, writer)
+        for stage in _COMMANDS[spec["command"]][1]:
+            stage(run, writer)
         spec["outputs"] = sorted(p.name for p in writer.written)
-        writer.emit(
-            "manifest.json",
-            lambda p: write_manifest(spec, p),
-        )
+        writer.emit("manifest.json", lambda p: write_manifest(spec, p))
     except BaseException:
         writer.cleanup()
         raise
@@ -535,7 +534,7 @@ def build_parser() -> argparse.ArgumentParser:
     analysis.add_argument("--gap-fraction", type=float, help=f"gap share splitting levels (default {lev.gap_fraction})")
     analysis.add_argument("--max-levels", type=int, help=f"most entropy levels (default {lev.max_levels})")
     # the CLI's own flags, each declared once for every subcommand that takes it
-    by.add_argument("--by", choices=tuple(_LEVEL_ATTR), default="transition", help="entropy the levels follow")
+    by.add_argument("--by", choices=tuple(_LEVEL_ATTR), help="entropy the levels follow (default transition)")
     color.add_argument("--color", choices=_COLORS, default="pattern", help="none: no window columns in embedded.csv")
     split.add_argument("--sign-split", action="store_true", help="tag maxima by amplitude sign")
     per_entry.add_argument("--per-entry", action="store_true", help="count transitions between entry events only")

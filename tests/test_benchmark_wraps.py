@@ -1,8 +1,11 @@
 """The names ``perfbench/layers.py`` wraps still exist, with the parameters it reads.
 
 ``perfbench/layers.py`` times each layer by rebinding names in ``ordmaps.cli``
-(``CLI_WRAPS``), and its file counter reads a ``path`` argument. The table is
-read here with ``ast``, so nothing in ``perfbench/`` is imported or run.
+(``CLI_WRAPS``), and its file counter reads a ``path`` argument. A rebinding
+reaches only the calls that look the name up when they run, so each wrapped
+``ordmaps.cli`` name must be read inside a function of ``cli.py``; one that no
+function reads would leave its layer's metrics at 0. The table and ``cli.py``
+are read here with ``ast``, so nothing in ``perfbench/`` is imported or run.
 """
 
 import ast
@@ -31,7 +34,15 @@ def _cli_wraps():
     return rows
 
 
+def _read_in_functions():
+    """Every name read inside a function or lambda of ordmaps/cli.py."""
+    tree = ast.parse(Path(importlib.import_module("ordmaps.cli").__file__).read_text(encoding="utf-8"))
+    functions = [node for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.Lambda))]
+    return {node.id for fn in functions for node in ast.walk(fn) if isinstance(node, ast.Name)}
+
+
 WRAPS = _cli_wraps()
+READ_IN_FUNCTIONS = _read_in_functions()
 
 
 def test_the_table_was_read():
@@ -47,5 +58,7 @@ def test_every_wrapped_name_resolves(module, attr, counter):
         return
     fn = getattr(importlib.import_module(module), attr, None)
     assert callable(fn), f"{name} is wrapped by perfbench/layers.py but does not exist"
+    if module == "ordmaps.cli":
+        assert attr in READ_IN_FUNCTIONS, f"{name} is wrapped, but no function of cli.py reads it: its layer would read 0"
     if counter == "_count_file":
         assert "path" in inspect.signature(fn).parameters, f"{name} lost the path parameter _count_file reads"

@@ -21,6 +21,13 @@ def wiggly_file(tmp_path):
     return path
 
 
+@pytest.fixture()
+def noise_file(tmp_path):
+    path = tmp_path / "noise.csv"
+    om.dump_series(om.TimeSeries(np.random.default_rng(3).standard_normal(3000), dt=1.0), path)
+    return path
+
+
 def _run(argv):
     return cli.main([str(a) for a in argv])
 
@@ -154,9 +161,7 @@ def test_failure_removes_every_directory_the_run_made(tmp_path, capsys):
     assert not (tmp_path / "a").exists()
 
 
-def test_analyze_builds_no_object_per_partition(tmp_path, monkeypatch):
-    noise = tmp_path / "noise.csv"
-    om.dump_series(om.TimeSeries(np.random.default_rng(3).standard_normal(3000), dt=1.0), noise)
+def test_analyze_builds_no_object_per_partition(noise_file, tmp_path, monkeypatch):
     built = []
     for cls in (encoding.OrdinalPattern, ranking.PartitionReport):
         def counted(self, *args, __init__=cls.__init__, **kwargs):
@@ -164,16 +169,46 @@ def test_analyze_builds_no_object_per_partition(tmp_path, monkeypatch):
             __init__(self, *args, **kwargs)
 
         monkeypatch.setattr(cls, "__init__", counted)
-    rc = _run(["analyze", noise, "--m", 7, "--tau", 1, "--out-dir", tmp_path / "out"])
+    rc = _run(["analyze", noise_file, "--m", 7, "--tau", 1, "--out-dir", tmp_path / "out"])
     assert rc == 0
     assert len((tmp_path / "out" / "partitions.csv").read_text().splitlines()) > 1000
     assert built == []
 
 
+# argv, then how often it may call symbolize and partition_table
+COMPUTES = {
+    "analyze": (["analyze"], 1, 1),
+    "levels": (["levels", "--per-entry"], 1, 1),
+    "frm level": (["frm", "--level", 1], 1, 1),
+    "frm pattern": (["frm", "--pattern", "1-2-3-4"], 1, 0),
+    "frm maxima": (["frm", "--maxima"], 0, 0),
+    "embed coloured": (["embed", "--dim", 4, "--lag", 2], 1, 1),
+    "embed color none": (["embed", "--dim", 4, "--lag", 2, "--color", "none"], 0, 0),
+    "pipeline": (["pipeline"], 1, 1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(COMPUTES))
+def test_each_command_computes_only_what_it_writes(case, noise_file, tmp_path, monkeypatch):
+    (command, *flags), symbolized, tabled = COMPUTES[case]
+    calls = []
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        return counted
+
+    for name in ("symbolize", "partition_table"):
+        monkeypatch.setattr(cli, name, counting(name, getattr(cli, name)))
+    assert _run([command, noise_file, *flags, "--out-dir", tmp_path / "out"]) == 0
+    assert (calls.count("symbolize"), calls.count("partition_table")) == (symbolized, tabled)
+
+
 def test_frm_maxima_mode(wiggly_file, tmp_path):
     out = tmp_path / "frm"
-    rc = _run(["frm", wiggly_file, "--maxima", "--sign-split", "--m", 2, "--tau", 1,
-               "--out-dir", out])
+    rc = _run(["frm", wiggly_file, "--maxima", "--sign-split", "--out-dir", out])
     assert rc == 0
     text = (out / "frm_maxima.csv").read_text()
     assert text.splitlines()[0] == "v,v_next,source"
@@ -406,6 +441,12 @@ ESCAPES = {
         "--points, --discard, --seed, --initial-state would change nothing: a series file is read, not simulated",
     ),
     "pipeline file with points": (["pipeline", "IN", "--points", "7"], None, "--points would change nothing"),
+    # a maxima map reads the samples only, so a window, sub-series or level flag would go unread
+    "frm maxima with window flags": (
+        ["frm", "IN", "--maxima", "--m", "7", "--tau", "1", "--sub-m", "4", "--gap-fraction", "0.5", "--by", "weighted"],
+        None, "--m, --tau, --sub-m, --gap-fraction, --by would change nothing: --maxima reads no window",
+    ),
+    "frm maxima with the default by": (["frm", "IN", "--maxima", "--by", "transition"], None, "--by would change nothing"),
     "kept points below 2": (
         ["generate", "lorenz", "--points", "1000000", "--discard", "0.9999999"], None,
         "only 0 points kept after discarding; need at least 2",

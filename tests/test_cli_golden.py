@@ -209,3 +209,34 @@ def test_rerun_of_committed_manifest_is_pinned(tmp_path):
     assert cli.main(["rerun", str(DATA / "pipeline_lorenz_manifest.json"), "--out-dir", str(out)]) == 0
     assert run_dir_sha256(out) == GOLDEN["pipeline-lorenz"]
     assert (out / "manifest.json").read_bytes() == (DATA / "pipeline_lorenz_manifest.json").read_bytes()
+
+
+def test_pipeline_writes_the_files_of_each_command(series_file, tmp_path):
+    window, embedding = ["--m", "5", "--tau", "3"], ["--dim", "3", "--lag", "9"]
+    runs = {
+        "pipeline": ["pipeline", *embedding, "--per-entry"],
+        "analyze": ["analyze"],
+        "levels": ["levels", "--per-entry"],
+        "embed": ["embed", *embedding],
+        "frm": ["frm", "--level", "1"],
+    }
+    for name, (command, *extra) in runs.items():
+        assert cli.main([command, str(series_file), *window, *extra, "--out-dir", str(tmp_path / name)]) == 0, name
+    maps = sorted(path.name for path in (tmp_path / "frm").glob("frm_partition_*.csv"))
+    assert maps
+    files = {
+        "analyze": ["symbols.csv", "partitions.csv", "entropy_curve.csv", "opn_edges.csv", "opn_nodes.csv"],
+        "levels": ["level_sequence.csv", "level_network.csv"],
+        "embed": ["embedded.csv"],
+        "frm": maps,
+    }
+    for command, names in files.items():
+        for name in names:
+            assert (tmp_path / "pipeline" / name).read_bytes() == (tmp_path / command / name).read_bytes(), name
+
+
+def test_pipeline_writes_the_series_generate_writes(tmp_path):
+    sim = ["lorenz", "--seed", "1", "--points", "3000", "--discard", "0.5"]
+    for command in ("pipeline", "generate"):
+        assert cli.main([command, *sim, "--out-dir", str(tmp_path / command)]) == 0
+    assert (tmp_path / "pipeline" / "series.csv").read_bytes() == (tmp_path / "generate" / "series.csv").read_bytes()

@@ -133,7 +133,8 @@ def test_malformed_series_file_never_escapes(lines, command, whitespace):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "series.txt"
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        argv = BASE_RUNS[command][:1] + [path, "--m", "2", "--tau", "1"] + BASE_RUNS[command][2:]
+        window = [] if command == "frm-maxima" else ["--m", "2", "--tau", "1"]  # maxima mode refuses them
+        argv = BASE_RUNS[command][:1] + [path, *window] + BASE_RUNS[command][2:]
         if whitespace:
             argv += ["--format", "whitespace"]
         _main(argv)
