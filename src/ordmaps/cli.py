@@ -97,10 +97,11 @@ _PARAMS = dict(zip(SYSTEMS, (LorenzParams, RosslerParams, MackeyGlassParams)))
 _EMBEDDINGS = dict(zip(SYSTEMS, (LORENZ_EMBEDDING, ROSSLER_EMBEDDING, MACKEY_GLASS_EMBEDDING)))
 _LEVEL_ATTR = {"weighted": "weighted_level", "transition": "transition_level"}
 _COLORS = ("pattern", "level", "none")
-# dest -> flag: the flags that only a simulation reads, and those that a maxima map never reads
+# dest -> flag: the flags that only a simulation reads, the window flags, and the sub-series and level flags
 _SIM_FLAGS = dict(total_points="--points", discard_fraction="--discard", seed="--seed", initial_state="--initial-state")
-_WINDOW_FLAGS = {name: "--" + name.replace("_", "-") for name in (
-    "m", "tau", "w", "ranking", "sub_m", "sub_tau", "sub_w", "gap_fraction", "max_levels", "by")}
+_WINDOW_FLAGS = dict(m="--m", tau="--tau", w="--w", ranking="--ranking")
+_LEVEL_FLAGS = {name: "--" + name.replace("_", "-") for name in (
+    "sub_m", "sub_tau", "sub_w", "gap_fraction", "max_levels", "by")}
 
 
 class _RunWriter:
@@ -181,7 +182,9 @@ def _spec_from_args(args) -> dict:
         path = str(Path(args.input).resolve())
         spec["input"] = {"kind": "file", "path": path, "format": args.format, "dt": args.dt}
     if getattr(args, "maxima", False):
-        _refuse_unread(args, _WINDOW_FLAGS, "--maxima reads no window")
+        _refuse_unread(args, {**_WINDOW_FLAGS, **_LEVEL_FLAGS}, "--maxima reads no window")
+    elif getattr(args, "pattern", None) is not None:
+        _refuse_unread(args, _LEVEL_FLAGS, "--pattern reads no sub-series and no level")
     by = getattr(args, "by", None) or "transition"  # None tells a given --by from its default
     sections = _COMMANDS[args.command][0]
     if "embedding" in sections:
@@ -393,9 +396,9 @@ def _analysis_files(run, writer):
     seq, table = run.seq, run.table
     tc = build_opn(seq)
     writer.emit("symbols.csv", lambda p: write_symbols_csv(seq, p))
-    writer.emit("partitions.csv", lambda p: write_partitions_csv(seq, table, p))
-    writer.emit("entropy_curve.csv", lambda p: write_entropy_curve_csv(seq, table, p))
-    writer.emit("opn_edges.csv", lambda p: write_opn_edges_csv(seq, tc, p))
+    writer.emit("partitions.csv", lambda p: write_partitions_csv(table, p))
+    writer.emit("entropy_curve.csv", lambda p: write_entropy_curve_csv(table, p))
+    writer.emit("opn_edges.csv", lambda p: write_opn_edges_csv(tc, p))
     writer.emit("opn_nodes.csv", lambda p: write_opn_nodes_csv(seq, p))
 
 

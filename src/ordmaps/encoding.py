@@ -24,8 +24,10 @@ their slice of the keys, so memory beyond the keys stays at one chunk's
 ranks however long the series. :func:`symbolize` and the secondary pass of
 ``ranking`` rank rows of the view, and ``embedding`` copies it.
 
-A :class:`SymbolSequence` groups its windows by key once, as the distinct
-keys and each window's index into them, and renders the dashed text of every
+A :class:`SymbolSequence` is the keys of its windows and their
+:class:`WindowConfig`, nothing more: window k starts at sample ``k * w``, so
+no start is stored. It groups its windows by key once, as the distinct keys
+and each window's index into them, and renders the dashed text of every
 distinct pattern under its own ranking once, as the column ``shown`` that
 every writer indexes. A one-pattern query looks the pattern's key up among
 the distinct keys and scans the windows' indices once; it decodes no pattern.
@@ -192,9 +194,10 @@ class SymbolSequence:
     """Per-window ordinal patterns of one series.
 
     ``codes`` holds the canonical chronological pattern of each window as an
-    int64 key (lexicographic pattern order equals numeric key order);
-    ``start_indices[k]`` is the source index anchoring window k. The display
-    ranking lives in ``config`` and only affects rendering.
+    int64 key (lexicographic pattern order equals numeric key order). Window
+    k starts at sample ``k * config.w``; ``start_indices`` gathers those
+    starts on first read, for the writers that print one per window. The
+    display ranking lives in ``config`` and only affects rendering.
 
     The windows are grouped by pattern once, on first use, and every module
     reads that one grouping: ``pattern_codes``, ``inverse``, ``entries`` and
@@ -206,12 +209,15 @@ class SymbolSequence:
     """
 
     codes: np.ndarray
-    start_indices: np.ndarray
-    source_len: int
     config: WindowConfig
 
     def __len__(self) -> int:
         return len(self.codes)
+
+    @cached_property
+    def start_indices(self) -> np.ndarray:
+        """The sample at which each window starts, as int64."""
+        return np.arange(len(self.codes), dtype=np.int64) * self.config.w
 
     @cached_property
     def _unique(self) -> tuple[np.ndarray, np.ndarray]:
@@ -296,9 +302,7 @@ def symbolize(series: TimeSeries, cfg: WindowConfig | None = None) -> SymbolSequ
         raise TooShortError(
             f"need at least {cfg.span + 1} samples for m={cfg.m}, tau={cfg.tau}; got {n}"
         )
-    codes = encode_windows(window_view(series.samples, cfg.m, cfg.tau, cfg.w))
-    starts = np.arange(0, len(codes) * cfg.w, cfg.w, dtype=np.int64)
-    return SymbolSequence(codes=codes, start_indices=starts, source_len=n, config=cfg)
+    return SymbolSequence(encode_windows(window_view(series.samples, cfg.m, cfg.tau, cfg.w)), cfg)
 
 
 def distinct_patterns(seq: SymbolSequence) -> list[tuple[OrdinalPattern, int]]:

@@ -9,13 +9,13 @@ columns to int, so they read 0/1. Rows are rendered by
 distinct float formatted once per chunk. A writer of sample cells (series,
 embedding, return maps) copies them from its optional ``text``, the
 :class:`ordmaps.series.SampleText` that ``pipeline`` renders once. A writer
-that shows patterns takes the symbol sequence and indexes its column
-``shown``, the dash-joined text of each distinct pattern under the
-sequence's ranking, rendered once per sequence. The partition table and the
-network carry the sequence they were built from, are indexed like ``shown``,
-and are refused with any other sequence; their columns are written as they
-are, with no row objects. Every file carries a header row and rows follow a
-fixed order, so identical inputs produce identical bytes.
+that shows patterns indexes the column ``shown`` of a symbol sequence, the
+dash-joined text of each distinct pattern under the sequence's ranking,
+rendered once per sequence. The partition table and the network carry the
+sequence they were built from and are indexed like its ``shown``, so their
+writers take them alone; their columns are written as they are, with no row
+objects. Every file carries a header row and rows follow a fixed order, so
+identical inputs produce identical bytes.
 """
 
 from __future__ import annotations
@@ -39,12 +39,6 @@ def _write_columns(path, header: list[str], columns: list[np.ndarray]) -> None:
         write_rows(fh, columns)
 
 
-def _check_owner(seq: SymbolSequence, built, what: str) -> None:
-    """``seq.shown`` labels the rows of what was built from seq; refuse anything else."""
-    if built.seq is not seq:
-        raise ValueError(f"{what} was built from another symbol sequence")
-
-
 def write_symbols_csv(seq: SymbolSequence, path) -> None:
     _write_columns(path, ["start_index", "pattern"], [seq.start_indices, seq.shown[seq.inverse]])
 
@@ -55,11 +49,10 @@ PARTITION_COLUMNS = [
 ]
 
 
-def write_partitions_csv(seq: SymbolSequence, table: PartitionTable, path) -> None:
-    """One row per partition in pattern order; ``table`` is :func:`partition_table` of seq."""
-    _check_owner(seq, table, "table")
+def write_partitions_csv(table: PartitionTable, path) -> None:
+    """One row per partition in pattern order, labelled by ``table.seq``."""
     columns = [
-        seq.shown,
+        table.seq.shown,
         table.occurrence,
         table.entries,
         table.occurrence_share,
@@ -74,16 +67,12 @@ def write_partitions_csv(seq: SymbolSequence, table: PartitionTable, path) -> No
     _write_columns(path, PARTITION_COLUMNS, columns)
 
 
-def write_entropy_curve_csv(seq: SymbolSequence, table: PartitionTable, path) -> None:
-    """Both weighted entropies ranked by the transition-weighted one, as :func:`rank_partitions` ranks.
-
-    ``table`` is :func:`partition_table` of seq.
-    """
-    _check_owner(seq, table, "table")
+def write_entropy_curve_csv(table: PartitionTable, path) -> None:
+    """Both weighted entropies ranked by the transition-weighted one, as :func:`rank_partitions` ranks."""
     ranked = np.argsort(-table.transition_entropy, kind="stable")  # ties keep pattern order
     columns = [
         np.arange(1, len(ranked) + 1),
-        seq.shown[ranked],
+        table.seq.shown[ranked],
         table.transition_entropy[ranked],
         table.weighted_entropy[ranked],
         table.transition_level[ranked],
@@ -92,10 +81,9 @@ def write_entropy_curve_csv(seq: SymbolSequence, table: PartitionTable, path) ->
     _write_columns(path, ["rank", "pattern", "h_wt", "h_w", "level_wt", "level_w"], columns)
 
 
-def write_opn_edges_csv(seq: SymbolSequence, tc: TransitionCounts, path) -> None:
-    """The non-zero edges of ``build_opn(seq)`` in row-major order."""
-    _check_owner(seq, tc, "tc")
-    columns = [seq.shown[tc.source], seq.shown[tc.target], tc.count]
+def write_opn_edges_csv(tc: TransitionCounts, path) -> None:
+    """The non-zero edges of the network in row-major order, labelled by ``tc.seq``."""
+    columns = [tc.seq.shown[tc.source], tc.seq.shown[tc.target], tc.count]
     _write_columns(path, ["from_pattern", "to_pattern", "count"], columns)
 
 

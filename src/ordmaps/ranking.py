@@ -127,7 +127,7 @@ class PartitionReport:
 
 def entry_points(seq: SymbolSequence, pattern: OrdinalPattern) -> np.ndarray:
     """Start indices of windows that enter the pattern; may be empty."""
-    return seq.start_indices[np.flatnonzero((seq.inverse == seq.index(pattern)) & seq.entries)]
+    return np.flatnonzero((seq.inverse == seq.index(pattern)) & seq.entries) * seq.config.w
 
 
 def extract_subseries(
@@ -139,7 +139,7 @@ def extract_subseries(
     """
     if (i := seq.index(pattern)) < 0:
         raise PatternAbsentError(f"pattern {pattern.dashed()} does not occur")
-    return TimeSeries(series.samples[seq.start_indices[np.flatnonzero(seq.inverse == i)]], series.dt)
+    return TimeSeries(series.samples[np.flatnonzero(seq.inverse == i) * seq.config.w], series.dt)
 
 
 def _runs(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -262,7 +262,7 @@ def _measure(series: TimeSeries, seq: SymbolSequence, sub_cfg) -> dict[str, np.n
     The levels are 1 until :func:`partition_table` sets them.
     """
     sub_cfg = sub_cfg or SubSeriesConfig()
-    inverse, entered, starts = seq.inverse, seq.entries, seq.start_indices
+    inverse, entered, w = seq.inverse, seq.entries, seq.config.w
     count = len(seq.pattern_codes)
     occurrence = np.bincount(inverse, minlength=count)
     entries = np.zeros(count, dtype=np.int64)
@@ -278,7 +278,7 @@ def _measure(series: TimeSeries, seq: SymbolSequence, sub_cfg) -> dict[str, np.n
         # the block's windows by partition and then by index: the keys are
         # distinct, so a plain sort orders them as a stable argsort would
         label, window = np.divmod(np.sort(piece * BLOCK + np.arange(len(piece))), BLOCK)
-        owner, codes = subseries.secondary(label, series.samples[starts[window + lo]])
+        owner, codes = subseries.secondary(label, series.samples[(window + lo) * w])
         if len(owner):
             counted += np.bincount(owner, minlength=count)
             tally.add(owner, codes)
@@ -321,7 +321,7 @@ class PartitionTable:
 
     Row i is the partition of ``seq.patterns[i]``, shown as ``seq.shown[i]``.
     Each array has one entry per row. The entry start indices are no column:
-    :meth:`entry_indices` gathers those of the rows asked for from ``seq``.
+    :meth:`entry_indices` derives those of the rows asked for from ``seq``.
     """
 
     seq: SymbolSequence = field(repr=False)
@@ -350,7 +350,7 @@ class PartitionTable:
         inverse = self.seq.inverse
         picked = np.flatnonzero(asked[inverse] & self.seq.entries)
         picked = picked[np.argsort(inverse[picked], kind="stable")]
-        return np.split(self.seq.start_indices[picked], np.cumsum(self.entries[rows]))[:-1]
+        return np.split(picked * self.seq.config.w, np.cumsum(self.entries[rows]))[:-1]
 
     def reports(self) -> list[PartitionReport]:
         """The rows, in pattern order, as :func:`analyze_partitions` returns them."""

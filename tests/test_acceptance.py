@@ -110,12 +110,7 @@ def test_c02_entropy_matches_shannon_oracle(rng):
     for _ in range(200):
         n = int(rng.integers(2, 31))
         codes = rng.choice(codes_pool, size=n).astype(np.int64)
-        seq = om.SymbolSequence(
-            codes=codes,
-            start_indices=np.arange(n, dtype=np.int64),
-            source_len=n + 2,
-            config=om.WindowConfig(m=3, tau=1, w=1),
-        )
+        seq = om.SymbolSequence(codes=codes, config=om.WindowConfig(m=3, tau=1, w=1))
         got = om.permutation_entropy(om.occupancy(seq))
         perms = [om.decode_pattern(int(c), 3).perm for c in codes]
         want = oracles.shannon(oracles.occupancy_probs(perms).values())

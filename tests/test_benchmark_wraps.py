@@ -62,3 +62,24 @@ def test_every_wrapped_name_resolves(module, attr, counter):
         assert attr in READ_IN_FUNCTIONS, f"{name} is wrapped, but no function of cli.py reads it: its layer would read 0"
     if counter == "_count_file":
         assert "path" in inspect.signature(fn).parameters, f"{name} lost the path parameter _count_file reads"
+
+
+def test_every_wrapped_file_writer_binds_path_on_a_live_run(tmp_path, monkeypatch):
+    """Each ``_count_file`` row, rebound as ``perfbench/layers.py`` rebinds it, sees the path of every CSV a run writes."""
+    cli = importlib.import_module("ordmaps.cli")
+    written = []
+
+    def recorder(fn):
+        def record(*args, **kwargs):
+            written.append(Path(inspect.signature(fn).bind(*args, **kwargs).arguments["path"]).name)
+            return fn(*args, **kwargs)
+        return record
+
+    for module, attr, counter in WRAPS:
+        if counter == "_count_file":
+            owner = importlib.import_module(module)
+            monkeypatch.setattr(owner, attr, recorder(getattr(owner, attr)))
+    out = tmp_path / "run"
+    argv = ["pipeline", "lorenz", "--seed", "1", "--points", "20000", "--discard", "0.5", "--out-dir", str(out)]
+    assert cli.main(argv) == 0
+    assert sorted(written) == sorted(path.name for path in out.glob("*.csv"))

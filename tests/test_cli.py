@@ -447,6 +447,13 @@ ESCAPES = {
         None, "--m, --tau, --sub-m, --gap-fraction, --by would change nothing: --maxima reads no window",
     ),
     "frm maxima with the default by": (["frm", "IN", "--maxima", "--by", "transition"], None, "--by would change nothing"),
+    # a pattern's map reads the window, but no sub-series or level setting
+    "frm pattern with sub-series and level flags": (
+        ["frm", "IN", "--pattern", "1-2-3-4", "--m", "4", "--sub-m", "4", "--sub-tau", "2", "--sub-w", "2",
+         "--gap-fraction", "0.5", "--max-levels", "5", "--by", "weighted"],
+        None, "--sub-m, --sub-tau, --sub-w, --gap-fraction, --max-levels, --by would change nothing: "
+        "--pattern reads no sub-series and no level",
+    ),
     "kept points below 2": (
         ["generate", "lorenz", "--points", "1000000", "--discard", "0.9999999"], None,
         "only 0 points kept after discarding; need at least 2",

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -148,7 +149,6 @@ def test_symbolize_matches_oracle():
         seq = om.symbolize(ts, cfg)
         assert seq.codes.tolist() == [oracles.encode(p, m) for p in expect]
         assert seq.start_indices.tolist() == list(range(0, len(expect) * w, w))
-        assert seq.source_len == n
 
 
 @pytest.mark.parametrize("windows", [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3])
@@ -202,6 +202,28 @@ def test_symbolize_stride_and_start_indices():
     assert all(s.perm == (1, 2, 3) for s in seq.symbols)
 
 
+def test_a_sequence_keeps_only_its_codes():
+    ts = om.TimeSeries(np.random.default_rng(5).normal(size=100_000), dt=1.0)
+    cfg = om.WindowConfig(m=4)
+    om.symbolize(om.TimeSeries(ts.samples[:100], dt=1.0), cfg)  # one-time caches, such as the key place values
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        seq = om.symbolize(ts, cfg)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept <= 8 * len(seq) + 4096, f"symbolize keeps {kept} B for {len(seq)} windows"
+
+
+@pytest.mark.parametrize("w", [1, 3])
+def test_start_indices_are_derived_once_from_the_slide(w):
+    seq = om.symbolize(om.TimeSeries(np.sin(np.arange(100.0)), dt=1.0), om.WindowConfig(m=3, tau=2, w=w))
+    want = np.arange(len(seq), dtype=np.int64) * w
+    assert seq.start_indices.dtype == want.dtype and seq.start_indices.tobytes() == want.tobytes()
+    assert seq.start_indices is seq.start_indices
+
+
 def test_canonical_storage_independent_of_display_ranking():
     ts = om.TimeSeries(np.sin(np.arange(60.0)), dt=1.0)
     chron = om.symbolize(ts, om.WindowConfig(m=3, tau=2, ranking="chronological"))
@@ -242,5 +264,5 @@ def test_patterns_decode_like_decode_pattern(m):
     perms = np.array(list(itertools.permutations(range(1, m + 1))))
     codes = om.encoding.encode_perm_rows(perms)
     shuffled = np.random.default_rng(m).permutation(codes)
-    seq = om.SymbolSequence(shuffled, np.arange(len(codes)), len(codes), om.WindowConfig(m=m))
+    seq = om.SymbolSequence(shuffled, om.WindowConfig(m=m))
     assert seq.patterns == tuple(om.OrdinalPattern(oracles.decode(code, m)) for code in sorted(codes.tolist()))

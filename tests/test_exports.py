@@ -35,7 +35,7 @@ def test_write_partitions_csv_layout(tmp_path):
     ts, seq = _analyzed([3, 1, 4, 1, 5, 9, 2, 6])
     reports = om.analyze_partitions(ts, seq)
     path = tmp_path / "partitions.csv"
-    exports.write_partitions_csv(seq, om.partition_table(ts, seq), path)
+    exports.write_partitions_csv(om.partition_table(ts, seq), path)
     lines = path.read_text().splitlines()
     assert lines[0] == ",".join(exports.PARTITION_COLUMNS)
     pats = [line.split(",")[0] for line in lines[1:]]
@@ -47,7 +47,7 @@ def test_float_cells_round_trip(tmp_path):
     ts, seq = _analyzed([3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8, 9, 7, 9])
     reports = om.analyze_partitions(ts, seq)
     path = tmp_path / "partitions.csv"
-    exports.write_partitions_csv(seq, om.partition_table(ts, seq), path)
+    exports.write_partitions_csv(om.partition_table(ts, seq), path)
     row = path.read_text().splitlines()[1].split(",")
     by_perm = {r.pattern.dashed(): r for r in reports}
     r = by_perm[row[0]]
@@ -59,7 +59,7 @@ def test_write_entropy_curve_ranked(tmp_path):
     ts, seq = _analyzed([3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8, 9, 7, 9])
     reports = om.analyze_partitions(ts, seq)
     path = tmp_path / "curve.csv"
-    exports.write_entropy_curve_csv(seq, om.partition_table(ts, seq), path)
+    exports.write_entropy_curve_csv(om.partition_table(ts, seq), path)
     lines = path.read_text().splitlines()
     assert lines[0] == "rank,pattern,h_wt,h_w,level_wt,level_w"
     ranks = [int(line.split(",")[0]) for line in lines[1:]]
@@ -73,7 +73,7 @@ def test_write_opn_files(tmp_path):
     tc = om.build_opn(seq)
     edges = tmp_path / "edges.csv"
     nodes = tmp_path / "nodes.csv"
-    exports.write_opn_edges_csv(seq, tc, edges)
+    exports.write_opn_edges_csv(tc, edges)
     exports.write_opn_nodes_csv(seq, nodes)
     edge_lines = edges.read_text().splitlines()
     assert edge_lines[0] == "from_pattern,to_pattern,count"
@@ -296,19 +296,6 @@ def test_renderer_memory_does_not_grow_with_rows(tmp_path, writer):
             series = om.TimeSeries(x[:rows], dt=1.0)
             peaks.append(_traced_peak(lambda: om.dump_series(series, path)))
     assert peaks[1] <= 1.2 * peaks[0], f"peak {peaks[1]} B at 4e5 rows against {peaks[0]} B at 5e4"
-
-
-def test_pattern_writers_refuse_rows_not_indexed_like_seq(tmp_path):
-    ts, seq = _analyzed([3, 1, 4, 1, 5, 9, 2, 6])
-    other_ts, other = _analyzed([1, 2, 3, 4, 5])  # one pattern where seq has two
-    twin = om.symbolize(ts, seq.config)  # the same patterns, but another sequence
-    for write, rows in (
-        (exports.write_partitions_csv, om.partition_table(other_ts, other)),
-        (exports.write_entropy_curve_csv, om.partition_table(ts, twin)),
-        (exports.write_opn_edges_csv, om.build_opn(other)),
-    ):
-        with pytest.raises(ValueError, match="built from another symbol sequence"):
-            write(seq, rows, tmp_path / "out.csv")
 
 
 # ---- SampleText: each sample rendered once, its cells copied into several files

@@ -478,3 +478,17 @@ def test_partition_table_keeps_no_array_over_the_windows():
             tracemalloc.stop()
         assert len(table.occurrence) == len(seq.pattern_codes)
     assert held[1] <= 1.2 * held[0], f"the table keeps {held[1]} B at 4e5 samples against {held[0]} B at 5e4"
+
+
+def test_partition_pass_and_pattern_queries_read_no_start_indices():
+    ts = om.TimeSeries(np.random.default_rng(2).normal(size=3000), dt=1.0)
+    seq = om.symbolize(ts, om.WindowConfig(m=3, tau=2, w=3))
+    table = om.partition_table(ts, seq)
+    entries = om.entry_points(seq, seq.patterns[1])
+    sub = om.extract_subseries(ts, seq, seq.patterns[1])
+    picked = table.entry_indices([0, 2])
+    assert "start_indices" not in vars(seq)
+    starts = seq.start_indices  # read only now, to check the starts derived without it
+    assert entries.tolist() == starts[(seq.inverse == 1) & seq.entries].tolist()
+    assert [p.tolist() for p in picked] == [starts[(seq.inverse == i) & seq.entries].tolist() for i in (0, 2)]
+    assert sub.samples.tolist() == ts.samples[starts[seq.inverse == 1]].tolist()
