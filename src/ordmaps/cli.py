@@ -12,7 +12,9 @@ Subcommands:
 
 Every run writes its run spec, the tool version and a content hash of the
 input series to ``manifest.json``; identical specs produce byte-identical
-outputs. Each library section of the spec is built by the library's own
+outputs. A spec holds the sections its run reads, which ``_reads`` gives from
+the command, the frm mode and the colour; a flag that only an unread part
+would read is refused. Each library section is built by the library's own
 dataclass from only the flags given, so the defaults are those held by the
 dataclasses and the ``*_EMBEDDING`` constants. One check builds every config
 object from the spec, for flags and ``rerun`` manifests alike, before any
@@ -32,7 +34,7 @@ import hashlib
 import os
 import sys
 from contextlib import suppress
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, field, fields
 from functools import cached_property
 from pathlib import Path
 from typing import get_type_hints
@@ -97,11 +99,9 @@ _PARAMS = dict(zip(SYSTEMS, (LorenzParams, RosslerParams, MackeyGlassParams)))
 _EMBEDDINGS = dict(zip(SYSTEMS, (LORENZ_EMBEDDING, ROSSLER_EMBEDDING, MACKEY_GLASS_EMBEDDING)))
 _LEVEL_ATTR = {"weighted": "weighted_level", "transition": "transition_level"}
 _COLORS = ("pattern", "level", "none")
-# dest -> flag: the flags that only a simulation reads, the window flags, and the sub-series and level flags
-_SIM_FLAGS = dict(total_points="--points", discard_fraction="--discard", seed="--seed", initial_state="--initial-state")
-_WINDOW_FLAGS = dict(m="--m", tau="--tau", w="--w", ranking="--ranking")
-_LEVEL_FLAGS = {name: "--" + name.replace("_", "-") for name in (
-    "sub_m", "sub_tau", "sub_w", "gap_fraction", "max_levels", "by")}
+# each analysis section of a run spec: the dataclass that builds it, and the prefix of its flags' dests
+_ANALYSIS = {"window": (WindowConfig, ""), "subseries": (SubSeriesConfig, "sub_"), "levels": (LevelConfig, "")}
+_FLAGS = {"total_points": "--points", "discard_fraction": "--discard"}  # dest -> flag, where not named after it
 
 
 class _RunWriter:
@@ -141,67 +141,65 @@ def _given(args, cls, prefix: str = "") -> dict:
     return {name: value for name, value in values.items() if value is not None}
 
 
-def _parse_initial_state(text):
-    try:
-        return [float(part) for part in text.split(",")]
-    except ValueError:
-        raise ConfigError(f"cannot parse initial state {text!r}") from None
-
-
-def _refuse_unread(args, flags: dict, why: str) -> None:
-    """One error naming every given flag of flags (dest -> flag), none of which the run reads."""
-    if unread := [flag for name, flag in flags.items() if getattr(args, name, None) is not None]:
-        raise ConfigError(f"{', '.join(unread)} would change nothing: {why}")
-
-
-def _frm_spec(args, by: str) -> dict:
-    pattern, maxima = getattr(args, "pattern", None), getattr(args, "maxima", False)
-    if (pattern is not None) + (args.frm_level is not None) + maxima != 1:
-        raise ConfigError("choose exactly one of --pattern, --level, --maxima")
-    # frm draws a maxima map only in --maxima mode; pipeline always adds one
-    frm = {"by": by, "sign_split": args.sign_split and (maxima or args.command == "pipeline")}
-    if maxima:
-        return {"mode": "maxima", **frm}
-    if pattern is not None:
-        return {"mode": "pattern", "patterns": pattern, **frm}
-    return {"mode": "level", "level": args.frm_level, **frm}
+def _reads(command: str, mode, color) -> tuple:
+    """The spec sections a run reads besides command, version and input: a maxima map reads the samples only,
+    a pattern's map its window too, and an uncoloured embedding no window."""
+    if command == "frm" and mode in ("maxima", "pattern"):
+        return ("frm",) if mode == "maxima" else ("window", "frm")
+    if command == "embed" and color == "none":
+        return ("embedding",)
+    return _COMMANDS[command][0]
 
 
 def _spec_from_args(args) -> dict:
-    """The run spec of a command line, each library section built by its dataclass."""
-    spec = {"command": args.command, "version": TOOL_VERSION}
-    system = args.input if args.command in ("generate", "pipeline") and args.input in SYSTEMS else None
+    """The run spec of a command line: the sections the run reads, each library section built by its dataclass."""
+    command, pattern, maxima = args.command, getattr(args, "pattern", None), getattr(args, "maxima", False)
+    if command == "frm" and (pattern is not None) + (args.frm_level is not None) + maxima != 1:
+        raise ConfigError("choose exactly one of --pattern, --level, --maxima")
+    mode = "maxima" if maxima else "level" if pattern is None else "pattern"
+    reads = _reads(command, mode, getattr(args, "color", None))
+    system = args.input if command in ("generate", "pipeline") and args.input in SYSTEMS else None
+    lacks = {  # each part of a run that this one lacks -> the dests of the flags that only that part reads
+        "simulation": [] if system else [f.name for f in fields(SimulationConfig) if f.name != "dt"],
+        "series file": ["format"] if system else [],
+        **{name: [p + f.name for f in fields(cls)] for name, (cls, p) in _ANALYSIS.items() if name not in reads},
+        "maxima map": ["sign_split"] if command == "frm" and mode != "maxima" else [],
+    }
+    if "levels" in lacks:
+        lacks["levels"].append("by")  # the entropy that the levels follow
+    given = {part: [d for d in dests if getattr(args, d, None) is not None] for part, dests in lacks.items()}
+    if flags := [_FLAGS.get(d, "--" + d.replace("_", "-")) for dests in given.values() for d in dests]:
+        parts = " or ".join(part for part, dests in given.items() if dests)
+        raise ConfigError(f"{', '.join(flags)} would change nothing: the run has no {parts}")
+    spec = {"command": command, "version": TOOL_VERSION}
     if system:
         sim = _given(args, SimulationConfig)
         if "initial_state" in sim:
-            sim["initial_state"] = _parse_initial_state(sim["initial_state"])
+            try:
+                sim["initial_state"] = [float(part) for part in sim["initial_state"].split(",")]
+            except ValueError:
+                raise ConfigError(f"cannot parse initial state {sim['initial_state']!r}") from None
         params = _PARAMS[system](**_given(args, _PARAMS[system]))
         spec["input"] = {"kind": system, "params": asdict(params), "sim": asdict(SimulationConfig(**sim))}
     else:
-        _refuse_unread(args, _SIM_FLAGS, "a series file is read, not simulated")
         path = str(Path(args.input).resolve())
-        spec["input"] = {"kind": "file", "path": path, "format": args.format, "dt": args.dt}
-    if getattr(args, "maxima", False):
-        _refuse_unread(args, {**_WINDOW_FLAGS, **_LEVEL_FLAGS}, "--maxima reads no window")
-    elif getattr(args, "pattern", None) is not None:
-        _refuse_unread(args, _LEVEL_FLAGS, "--pattern reads no sub-series and no level")
+        spec["input"] = {"kind": "file", "path": path, "format": args.format or "csv", "dt": args.dt}
     by = getattr(args, "by", None) or "transition"  # None tells a given --by from its default
-    sections = _COMMANDS[args.command][0]
-    if "embedding" in sections:
-        given = _given(args, EmbeddingConfig)
-        embedding = EmbeddingConfig(**{**asdict(_EMBEDDINGS.get(system, LORENZ_EMBEDDING)), **given})
+    if "embedding" in reads:
+        default = asdict(_EMBEDDINGS.get(system, LORENZ_EMBEDDING))
+        embedding = EmbeddingConfig(**{**default, **_given(args, EmbeddingConfig)})
         spec["embedding"] = {**asdict(embedding), "color": args.color}
-    if "window" in sections:
-        window = _given(args, WindowConfig)
-        if "tau" not in window and getattr(args, "lag", None) is not None:
-            m = WindowConfig(**window).m  # checks m before the divisor search uses it
-            window["tau"] = window_from_embedding(embedding, m).tau
-        spec["window"] = asdict(WindowConfig(**window))
-        spec["subseries"] = asdict(SubSeriesConfig(**_given(args, SubSeriesConfig, "sub_")))
-        spec["levels"] = asdict(LevelConfig(**_given(args, LevelConfig)))
-    if "frm" in sections:
-        spec["frm"] = _frm_spec(args, by)
-    if "level_network" in sections:
+    for name, (cls, prefix) in _ANALYSIS.items():
+        if name in reads:
+            section = _given(args, cls, prefix)
+            if name == "window" and "tau" not in section and getattr(args, "lag", None) is not None:
+                m = cls(**section).m  # checks m before the divisor search uses it
+                section["tau"] = window_from_embedding(embedding, m).tau
+            spec[name] = asdict(cls(**section))
+    if "frm" in reads:
+        picked = {"maxima": {}, "pattern": {"patterns": pattern}, "level": {"level": args.frm_level}}[mode]
+        spec["frm"] = {"mode": mode, **picked, "by": by, "sign_split": bool(args.sign_split)}
+    if "level_network" in reads:
         spec["level_network"] = {"by": by, "per_entry": getattr(args, "per_entry", False)}
     return spec
 
@@ -239,20 +237,7 @@ def _section(values, name: str, cls=None, **checks):
     for key, check in checks.items():
         if not check(values[key]):
             raise ConfigError(f"{name}.{key} cannot be {values[key]!r}")
-    if cls is None:
-        return values
-    return cls(**{f.name: values[f.name] for f in fields(cls)})
-
-
-def _shown_pattern(text: str, m: int) -> OrdinalPattern:
-    """A --pattern value, as displayed under the run's ranking."""
-    try:
-        shown = OrdinalPattern.from_dashed(text)
-    except ValueError as exc:
-        raise ConfigError(f"--pattern: {exc}") from None
-    if shown.m != m:
-        raise ConfigError(f"--pattern {text} has {shown.m} entries but m is {m}")
-    return shown
+    return values if cls is None else cls(**{f.name: values[f.name] for f in fields(cls)})
 
 
 @dataclass
@@ -260,6 +245,16 @@ class _Run:
     """A checked run spec with its config objects, its series and its analysis, computed on first read."""
 
     spec: dict
+    params: object = None
+    sim: SimulationConfig | None = None
+    window: WindowConfig | None = None
+    subseries: SubSeriesConfig | None = None
+    levels: LevelConfig | None = None
+    frm: dict | None = None
+    patterns: list = field(default_factory=list)  # the frm section's patterns, as displayed
+    level_network: dict | None = None
+    embedding: EmbeddingConfig | None = None
+    series: TimeSeries | None = None
     text: SampleText | None = None  # the one SampleText of a run whose files all print the samples
 
     @cached_property
@@ -281,10 +276,13 @@ def _check(spec: dict) -> _Run:
     command = spec.get("command")
     if type(command) is not str or command not in _COMMANDS:
         raise ConfigError(f"manifest names unknown command {command!r}")
-    sections = _COMMANDS[command][0]
-    required = ("command", "input", *sections)
-    if not set(required) <= set(spec) <= {*required, "version", "series_sha256"}:
-        raise ConfigError(f"a {command} run spec needs the keys {', '.join(required)} and no others")
+    mode = spec["frm"].get("mode") if type(spec.get("frm")) is dict else None
+    color = spec["embedding"].get("color") if type(spec.get("embedding")) is dict else None
+    required = ("command", "input", *_reads(command, mode, color))
+    # besides, the command's sections that the run does not read, which manifests held before they were left out
+    others = sorted({*_COMMANDS[command][0], "version", "series_sha256"} - set(required))
+    if not set(required) <= set(spec) <= {*required, *others}:
+        raise ConfigError(f"a {command} run spec needs the keys {', '.join(required)} and may hold {', '.join(others)}")
     if type(spec.get("series_sha256", "")) is not str:
         raise ConfigError("series_sha256 must be a string")
     if spec.get("version", TOOL_VERSION) != TOOL_VERSION:
@@ -305,26 +303,30 @@ def _check(spec: dict) -> _Run:
             raise ConfigError(f"--seed would change nothing: {kind} starts from {start}")
     else:
         raise ConfigError(f"unknown input kind {kind!r}")
-    if "window" in sections:
-        run.window = _section(spec["window"], "window", WindowConfig)
-        run.subseries = _section(spec["subseries"], "subseries", SubSeriesConfig)
-        run.levels = _section(spec["levels"], "levels", LevelConfig)
+    for name, (cls, _) in _ANALYSIS.items():
+        if name in spec:
+            setattr(run, name, _section(spec[name], name, cls))
     by = _one_of(*_LEVEL_ATTR)
-    if "frm" in sections:
-        mode = spec["frm"].get("mode") if type(spec["frm"]) is dict else None
+    if "frm" in spec:
         mode_keys = _FRM_MODE_KEYS.get(mode, {}) if type(mode) is str else {}
-        modes = _one_of(*_FRM_MODE_KEYS)
+        modes = _one_of(*(_FRM_MODE_KEYS if command == "frm" else ("level", "pattern")))  # pipeline adds its maxima map
         run.frm = _section(spec["frm"], "frm", mode=modes, by=by, sign_split=_IS[bool], **mode_keys)
-        top = run.levels.max_levels
-        if mode == "level" and not 1 <= run.frm["level"] <= top:
+        if mode == "level" and not 1 <= run.frm["level"] <= run.levels.max_levels:
+            top = run.levels.max_levels
             raise ConfigError(f"--level/--frm-level must lie in 1..{top} (--max-levels), got {run.frm['level']}")
-        run.patterns = [_shown_pattern(text, run.window.m) for text in run.frm.get("patterns", ())]
-        for k, shown in enumerate(run.patterns):
-            if shown in run.patterns[:k]:  # its map would be written twice under one name
+        for text in run.frm.get("patterns", ()):  # each as displayed under the run's ranking
+            try:
+                shown = OrdinalPattern.from_dashed(text)
+            except ValueError as exc:
+                raise ConfigError(f"--pattern: {exc}") from None
+            if shown.m != run.window.m:
+                raise ConfigError(f"--pattern {text} has {shown.m} entries but m is {run.window.m}")
+            if shown in run.patterns:  # its map would be written twice under one name
                 raise ConfigError(f"--pattern {shown.dashed()} is given twice")
-    if "level_network" in sections:
+            run.patterns.append(shown)
+    if "level_network" in spec:
         run.level_network = _section(spec["level_network"], "level_network", by=by, per_entry=_IS[bool])
-    if "embedding" in sections:
+    if "embedding" in spec:
         run.embedding = _section(spec["embedding"], "embedding", EmbeddingConfig, color=_one_of(*_COLORS))
     return run
 
@@ -462,17 +464,16 @@ def _embedding_file(run, writer):
     writer.emit("embedded.csv", lambda p: write_embedding_csv(points, p, *colour, text=run.text))
 
 
-# per command: the run spec sections it holds besides command, version and
-# input, and the stages that write its files, in order
-_ANALYSIS = ("window", "subseries", "levels")
+# per command: the run spec sections it can hold besides command, version and input
+# (_reads says which it reads), and the stages that write its files, in order
 _COMMANDS = {
     "generate": ((), (_series_file,)),
-    "analyze": (_ANALYSIS, (_analysis_files,)),
-    "frm": (_ANALYSIS + ("frm",), (_frm_files,)),
-    "levels": (_ANALYSIS + ("level_network",), (_level_files,)),
-    "embed": (_ANALYSIS + ("level_network", "embedding"), (_embedding_file,)),
+    "analyze": ((*_ANALYSIS,), (_analysis_files,)),
+    "frm": ((*_ANALYSIS, "frm"), (_frm_files,)),
+    "levels": ((*_ANALYSIS, "level_network"), (_level_files,)),
+    "embed": ((*_ANALYSIS, "level_network", "embedding"), (_embedding_file,)),
     "pipeline": (
-        _ANALYSIS + ("frm", "level_network", "embedding"),
+        (*_ANALYSIS, "frm", "level_network", "embedding"),
         (_series_file, _analysis_files, _pipeline_maps, _level_files, _embedding_file),
     ),
 }
@@ -508,10 +509,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="ordmaps",
-        description="First return maps from ordinal partitions of scalar series.",
-    )
+    parser = _Parser(prog="ordmaps", description="First return maps from ordinal partitions of scalar series.")
     parser.add_argument("--version", action="version", version=f"%(prog)s {TOOL_VERSION}")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -519,7 +517,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim_cfg, win, sub_cfg, lev = SimulationConfig(), WindowConfig(), SubSeriesConfig(), LevelConfig()
     out, fmt, sim, analysis, by, color, split, per_entry = (argparse.ArgumentParser(add_help=False) for _ in range(8))
     out.add_argument("--out-dir", help="output directory (default runs/<digest>)")
-    fmt.add_argument("--format", choices=FORMATS, default="csv", help="series file layout (default csv)")
+    fmt.add_argument("--format", choices=FORMATS, help="series file layout (default csv)")
     file_in = argparse.ArgumentParser(add_help=False, parents=[fmt])
     file_in.add_argument("input", help="series file (one value per row)")
     file_in.add_argument("--dt", type=float, help="sample interval if not in the file header")
@@ -538,8 +536,9 @@ def build_parser() -> argparse.ArgumentParser:
     analysis.add_argument("--max-levels", type=int, help=f"most entropy levels (default {lev.max_levels})")
     # the CLI's own flags, each declared once for every subcommand that takes it
     by.add_argument("--by", choices=tuple(_LEVEL_ATTR), help="entropy the levels follow (default transition)")
-    color.add_argument("--color", choices=_COLORS, default="pattern", help="none: no window columns in embedded.csv")
-    split.add_argument("--sign-split", action="store_true", help="tag maxima by amplitude sign")
+    color.add_argument("--color", choices=_COLORS, default="pattern",
+                       help="pattern and level write the same columns; none: no window columns in embedded.csv")
+    split.add_argument("--sign-split", action="store_true", default=None, help="tag maxima by amplitude sign")
     per_entry.add_argument("--per-entry", action="store_true", help="count transitions between entry events only")
 
     gen = sub.add_parser("generate", help="integrate a benchmark system")

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import json
 import os
 import subprocess
@@ -202,8 +203,49 @@ def test_each_command_computes_only_what_it_writes(case, noise_file, tmp_path, m
 
     for name in ("symbolize", "partition_table"):
         monkeypatch.setattr(cli, name, counting(name, getattr(cli, name)))
+    runs, check = [], cli._check
+    monkeypatch.setattr(cli, "_check", lambda spec: runs.append(check(spec)) or runs[-1])
     assert _run([command, noise_file, *flags, "--out-dir", tmp_path / "out"]) == 0
     assert (calls.count("symbolize"), calls.count("partition_table")) == (symbolized, tabled)
+    # the run holds only its declared fields, and its manifest exactly the sections it reads
+    declared = {f.name for f in dataclasses.fields(cli._Run)}
+    cached = {name for name, value in vars(cli._Run).items() if isinstance(value, functools.cached_property)}
+    assert set(vars(runs[0])) <= declared | cached
+    spec = manifest.load_manifest(tmp_path / "out" / "manifest.json")
+    mode = spec.get("frm", {}).get("mode")
+    sections = set(spec) - {"command", "version", "input", "series_sha256", "outputs", "manifest_sha256"}
+    assert sections == set(cli._reads(command, mode, spec.get("embedding", {}).get("color")))
+
+
+# argv of a run whose manifest once also held these sections at their defaults
+OLD_LAYOUT = {
+    "frm maxima": (["frm", "--maxima", "--sign-split"], ("window", "subseries", "levels")),
+    "frm pattern": (["frm", "--pattern", "4-3-2-1"], ("subseries", "levels")),
+    "embed color none": (
+        ["embed", "--dim", 2, "--lag", 6, "--color", "none"], ("window", "subseries", "levels", "level_network")
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OLD_LAYOUT))
+def test_manifest_with_unread_sections_replays_as_written(case, noise_file, tmp_path):
+    (command, *flags), unread = OLD_LAYOUT[case]
+    assert _run([command, noise_file, *flags, "--out-dir", tmp_path / "new"]) == 0
+    spec = manifest.load_manifest(tmp_path / "new" / "manifest.json")
+    defaults = {
+        "window": dataclasses.asdict(om.WindowConfig()),
+        "subseries": dataclasses.asdict(om.SubSeriesConfig()),
+        "levels": dataclasses.asdict(om.LevelConfig()),
+        "level_network": {"by": "transition", "per_entry": False},
+    }
+    assert not set(unread) & set(spec)
+    old = tmp_path / "old" / "manifest.json"
+    old.parent.mkdir()
+    manifest.write_manifest({**spec, **{name: defaults[name] for name in unread}}, old)
+    assert _run(["rerun", old, "--out-dir", tmp_path / "again"]) == 0
+    assert (tmp_path / "again" / "manifest.json").read_bytes() == old.read_bytes()
+    for name in spec["outputs"]:
+        assert (tmp_path / "again" / name).read_bytes() == (tmp_path / "new" / name).read_bytes(), name
 
 
 def test_frm_maxima_mode(wiggly_file, tmp_path):
@@ -275,8 +317,7 @@ def test_levels_command(wiggly_file, tmp_path):
 
 def test_embed_command(wiggly_file, tmp_path):
     out = tmp_path / "embed"
-    rc = _run(["embed", wiggly_file, "--dim", 2, "--lag", 3, "--color", "none",
-               "--m", 2, "--out-dir", out])
+    rc = _run(["embed", wiggly_file, "--dim", 2, "--lag", 3, "--color", "none", "--out-dir", out])
     assert rc == 0
     lines = (out / "embedded.csv").read_text().splitlines()
     assert lines[0] == "x0,x1"
@@ -383,6 +424,32 @@ def _frm_manifest_with_pattern_twice(tmp_path):
     return path
 
 
+def _maxima_manifest(tmp_path, **sections):
+    series = tmp_path / "series.csv"
+    om.dump_series(om.TimeSeries(np.sin(0.9 * np.arange(80.0)), dt=1.0), series)
+    spec = cli._spec_from_args(cli.build_parser().parse_args(["frm", str(series), "--maxima"]))
+    path = tmp_path / "maxima.json"
+    path.write_text(json.dumps({**spec, **sections}))
+    return path
+
+
+def _maxima_manifest_with_bad_window(tmp_path):
+    return _maxima_manifest(tmp_path, window={**dataclasses.asdict(om.WindowConfig()), "m": "x"})
+
+
+def _maxima_manifest_with_embedding(tmp_path):
+    return _maxima_manifest(tmp_path, embedding={"dim": 2, "lag": 1, "color": "none"})
+
+
+def _pipeline_manifest_in_maxima_mode(tmp_path):
+    spec = json.loads((Path(__file__).parent / "data" / "pipeline_lorenz_manifest.json").read_text())
+    del spec["frm"]["level"]
+    spec["frm"]["mode"] = "maxima"
+    path = tmp_path / "pipeline_maxima.json"
+    path.write_text(json.dumps(spec))
+    return path
+
+
 def _lorenz_file_with_one_level(tmp_path):
     path = tmp_path / "lorenz.csv"
     om.dump_series(om.integrate_lorenz(cfg=om.SimulationConfig(seed=1, total_points=20000, discard_fraction=0.5)), path)
@@ -438,13 +505,14 @@ ESCAPES = {
     # a series file is read as it is, so a flag that sets up a simulation would go unread
     "pipeline file with simulation flags": (
         ["pipeline", "IN", "--seed", "5", "--points", "7", "--discard", "0.3", "--initial-state", "1,2"], None,
-        "--points, --discard, --seed, --initial-state would change nothing: a series file is read, not simulated",
+        "--points, --discard, --initial-state, --seed would change nothing: the run has no simulation",
     ),
     "pipeline file with points": (["pipeline", "IN", "--points", "7"], None, "--points would change nothing"),
     # a maxima map reads the samples only, so a window, sub-series or level flag would go unread
     "frm maxima with window flags": (
         ["frm", "IN", "--maxima", "--m", "7", "--tau", "1", "--sub-m", "4", "--gap-fraction", "0.5", "--by", "weighted"],
-        None, "--m, --tau, --sub-m, --gap-fraction, --by would change nothing: --maxima reads no window",
+        None,
+        "--m, --tau, --sub-m, --gap-fraction, --by would change nothing: the run has no window or subseries or levels",
     ),
     "frm maxima with the default by": (["frm", "IN", "--maxima", "--by", "transition"], None, "--by would change nothing"),
     # a pattern's map reads the window, but no sub-series or level setting
@@ -452,8 +520,42 @@ ESCAPES = {
         ["frm", "IN", "--pattern", "1-2-3-4", "--m", "4", "--sub-m", "4", "--sub-tau", "2", "--sub-w", "2",
          "--gap-fraction", "0.5", "--max-levels", "5", "--by", "weighted"],
         None, "--sub-m, --sub-tau, --sub-w, --gap-fraction, --max-levels, --by would change nothing: "
-        "--pattern reads no sub-series and no level",
+        "the run has no subseries or levels",
     ),
+    # its map splits maxima by sign, and only --maxima draws one
+    "frm pattern with sign split": (
+        ["frm", "IN", "--pattern", "4-3-2-1", "--sign-split"], None,
+        "--sign-split would change nothing: the run has no maxima map",
+    ),
+    "frm level with sign split": (
+        ["frm", "IN", "--level", "1", "--sign-split"], None, "--sign-split would change nothing: the run has no maxima map"
+    ),
+    # an uncoloured embedding reads no window, and so derives none from --lag
+    "embed color none with window and level flags": (
+        ["embed", "IN", "--dim", "3", "--lag", "2", "--color", "none", "--m", "5", "--by", "weighted"], None,
+        "--m, --by would change nothing: the run has no window or levels",
+    ),
+    # a simulation reads no series file
+    "pipeline system with format": (
+        ["pipeline", "lorenz", "--seed", "1", "--points", "3000", "--format", "whitespace"], None,
+        "--format would change nothing: the run has no series file",
+    ),
+    # two modes are refused as such, before any flag that one of them would not read
+    "frm pattern and level": (
+        ["frm", "IN", "--pattern", "1-2-3-4", "--level", "1", "--by", "weighted"], None,
+        "choose exactly one of --pattern, --level, --maxima",
+    ),
+    "frm maxima and level": (
+        ["frm", "IN", "--maxima", "--level", "1", "--m", "4"], None, "choose exactly one of --pattern, --level, --maxima"
+    ),
+    # a manifest may hold a section its run does not read, but only a well-formed one
+    "manifest maxima with a malformed window": (["rerun", "IN"], _maxima_manifest_with_bad_window, "window.m cannot be 'x'"),
+    "manifest maxima with an embedding": (
+        ["rerun", "IN"], _maxima_manifest_with_embedding,
+        "needs the keys command, input, frm and may hold levels, series_sha256, subseries, version, window",
+    ),
+    # pipeline maps the partitions of a level or of its patterns, and its maxima map has no mode of its own
+    "manifest pipeline in maxima mode": (["rerun", "IN"], _pipeline_manifest_in_maxima_mode, "frm.mode cannot be 'maxima'"),
     "kept points below 2": (
         ["generate", "lorenz", "--points", "1000000", "--discard", "0.9999999"], None,
         "only 0 points kept after discarding; need at least 2",

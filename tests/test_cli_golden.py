@@ -58,7 +58,6 @@ CASES = {
     "frm-level-weighted": ["frm", "FILE", "--level", 2, "--by", "weighted"],
     "frm-pattern": ["frm", "FILE", "--pattern", "4-3-2-1", "--pattern", "1-2-3-4"],
     "frm-pattern-amplitude": ["frm", "FILE", "--pattern", "1-2-3-4", "--ranking", "amplitude"],
-    "frm-pattern-sign-split": ["frm", "FILE", "--pattern", "4-3-2-1", "--sign-split"],
     "frm-maxima": ["frm", "FILE", "--maxima"],
     "frm-maxima-sign-split": ["frm", "FILE", "--maxima", "--sign-split"],
     "levels": ["levels", "FILE"],
@@ -103,7 +102,7 @@ GOLDEN = {
     "analyze-whitespace": "fe003c22819963ccdfb070ad8420c117998da8974fb27b5daffad7d7a673c428",
     "embed-amplitude-w2": "69691aa376c7b1dc49d7afde4d0bd1fc332d5d5573555e144c4796d82a0c811d",
     "embed-level": "ce5846b0fce195a93f8c8a80fb9b7ecf668c2baf9ee67b3335ef39c62611ebba",
-    "embed-none": "a35099773073da1c1bdbc58ca6b6b20616cb9e21c0bb9a371624c5c179d72390",
+    "embed-none": "1a0d699c69491b55308e4cb1db68477ed800716a11cb09b2acb2beaa608369da",
     "embed-noise-m5": "bf17d7f6fe8b81e6feab7c7bbf4a13bd99b11a5e0bf74696348557e764a62de1",
     "embed-signed-zeros": "182f433db61a29e772be9d2d9ae29aa050e53c1c5f3b0dac9b2372f1b78d94c2",
     "embed-pattern": "1fb8ffd0062212486055afe1f505bc6b495995fe63e2caa71d7e99aa6b1c7170",
@@ -112,11 +111,10 @@ GOLDEN = {
     "frm-noise-level": "af0f662fac047f6b34d91d086ce3a96e11fe86d80a67be2797788b1b444a9f41",
     "frm-noise-one-level": "850aab9bd57011d9e0d190bc3f2a2d70460f967abc07fa0a29d004d69772322f",
     "frm-level-weighted": "cc31a31ec8d0e2bbaff8455f2a540976dfc9169023aacc26560616784dadc1ef",
-    "frm-maxima": "5000ce77e0bb6d716ea931199480d30a53fb0e79ec000790fc00ec1943ed7d60",
-    "frm-maxima-sign-split": "0aff61181240eb341411c205d3f573e33b8d8f347b72037cb254bf128e8ca0bf",
-    "frm-pattern": "4e4a18f00f9dc901862f6480d2e81ecb7e5868ff576bb3f6c9274d78241c0088",
-    "frm-pattern-amplitude": "d612c9c8b8fd6c34cc22ece62e023cd531cea4e12ad835b5ddf600f75acce9cd",
-    "frm-pattern-sign-split": "a0588d1bc5aaa9962848385483d6767c60f365a77ecd381ca064d3f0bec2287d",
+    "frm-maxima": "808b9d4ff16a9f1d51b2fc6f96ca3097d03f594fa401cc3ac808ec5c9ea6aa0d",
+    "frm-maxima-sign-split": "76973f18fc304f89754718cac61cf87045349a39a2e9666d374cf7d6d55aa8c3",
+    "frm-pattern": "69609e9565cf9e0f92bfa2f8bc974d4a572e7c906deefdd883cee6ada2ee148f",
+    "frm-pattern-amplitude": "ea4fce915e7722de1bd4beafb4fee1a8436c3315bb15d6f18c93c256d1a3751a",
     "generate-lorenz": "4b1a2da73776ec3dfb41e678dcc19854d11e7251450b65b43c557d339975cd19",
     "generate-lorenz-flags": "f9657af2ab068690d672050c0686e0a98b0900889d7f4de8cef247a085a22ac6",
     "generate-mackey-glass": "9fd61a0383239105285fe39c34795f8cd5866edc7347595e056f6d9dda4e160d",
