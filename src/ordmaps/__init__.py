@@ -55,16 +55,12 @@ from .network import (
 )
 from .ranking import (
     LevelConfig,
-    PartitionReport,
     PartitionTable,
     SubSeriesConfig,
-    analyze_partitions,
     detect_levels,
     entry_points,
     extract_subseries,
     partition_table,
-    rank_partitions,
-    weighted_entropies,
 )
 from .returnmaps import (
     DiagonalSplit,
@@ -103,7 +99,6 @@ __all__ = [
     "OrdinalPattern",
     "OrdmapsError",
     "ParseError",
-    "PartitionReport",
     "PartitionTable",
     "PatternAbsentError",
     "ReturnMap",
@@ -117,7 +112,6 @@ __all__ = [
     "TransitionCounts",
     "WindowConfig",
     "amplitude_to_chron",
-    "analyze_partitions",
     "build_level_network",
     "build_opn",
     "canonical_pattern",
@@ -149,10 +143,8 @@ __all__ = [
     "pattern_code",
     "pattern_of_window",
     "permutation_entropy",
-    "rank_partitions",
     "series_sha256",
     "symbolize",
-    "weighted_entropies",
     "window_count",
     "window_from_embedding",
 ]

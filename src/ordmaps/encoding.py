@@ -266,13 +266,6 @@ class SymbolSequence:
         i = int(np.searchsorted(self.pattern_codes, code))
         return i if i < len(self.pattern_codes) and self.pattern_codes[i] == code else -1
 
-    @property
-    def symbols(self) -> list[OrdinalPattern]:
-        return [self.patterns[i] for i in self.inverse.tolist()]
-
-    def symbol(self, k: int) -> OrdinalPattern:
-        return self.patterns[self.inverse[k]]
-
 
 def encode_windows(windows: np.ndarray) -> np.ndarray:
     """The key of each row of the (k, m) array ``windows``, ranked a chunk of rows at a time.

@@ -68,7 +68,7 @@ def write_partitions_csv(table: PartitionTable, path) -> None:
 
 
 def write_entropy_curve_csv(table: PartitionTable, path) -> None:
-    """Both weighted entropies ranked by the transition-weighted one, as :func:`rank_partitions` ranks."""
+    """Both weighted entropies ranked by the transition-weighted one, descending."""
     ranked = np.argsort(-table.transition_entropy, kind="stable")  # ties keep pattern order
     columns = [
         np.arange(1, len(ranked) + 1),

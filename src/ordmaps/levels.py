@@ -7,8 +7,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .encoding import SymbolSequence
-from .errors import PatternAbsentError, TooShortError
-from .ranking import LEVEL_KEYS, PartitionReport, PartitionTable
+from .errors import TooShortError
+from .ranking import LEVEL_KEYS, PartitionTable
 
 
 @dataclass(eq=False)
@@ -25,33 +25,18 @@ class LevelNetwork:
         return int(self.weights.sum())
 
 
-def level_sequence(
-    seq: SymbolSequence, reports: PartitionTable | list[PartitionReport], by: str = "transition_level"
-) -> np.ndarray:
-    """Map every window to the level of its partition.
-
-    ``reports`` is the :class:`PartitionTable` of ``seq``, or report rows
-    that cover every occurring pattern.
-    """
+def level_sequence(seq: SymbolSequence, table: PartitionTable, by: str = "transition_level") -> np.ndarray:
+    """Map every window to the level of its partition in ``table``, the :class:`PartitionTable` of ``seq``."""
     if by not in LEVEL_KEYS:
         raise ValueError(f"by must be one of {LEVEL_KEYS}, got {by!r}")
-    if isinstance(reports, PartitionTable):
-        if reports.seq is not seq:
-            raise ValueError("the partition table belongs to another symbol sequence")
-        return getattr(reports, by)[seq.inverse]
-    level_of = {r.pattern: getattr(r, by) for r in reports}
-    try:
-        levels = np.array([level_of[pattern] for pattern in seq.patterns], dtype=np.int64)
-    except KeyError as exc:
-        raise PatternAbsentError(f"no report covers occurring pattern {exc.args[0].dashed()}") from None
-    return levels[seq.inverse]
+    if table.seq is not seq:
+        raise ValueError("the partition table belongs to another symbol sequence")
+    return getattr(table, by)[seq.inverse]
 
 
-def entry_level_sequence(
-    seq: SymbolSequence, reports: PartitionTable | list[PartitionReport], by: str = "transition_level"
-) -> np.ndarray:
+def entry_level_sequence(seq: SymbolSequence, table: PartitionTable, by: str = "transition_level") -> np.ndarray:
     """Level labels restricted to entry events (first window of each run)."""
-    return level_sequence(seq, reports, by)[seq.entries]
+    return level_sequence(seq, table, by)[seq.entries]
 
 
 def build_level_network(level_seq) -> LevelNetwork:

@@ -48,13 +48,10 @@ descending list at the largest consecutive gaps exceeding
 
 :func:`partition_table` returns every partition as columns, a
 :class:`PartitionTable` indexed like ``seq.shown``, with no object per
-partition and one entry per partition in each array; the CLI and the
-writers read it. Only return maps read entry start indices, so
-:meth:`PartitionTable.entry_indices` gathers those of just the rows asked
-for. :func:`analyze_partitions` turns the table into one
-:class:`PartitionReport` per partition, and :func:`weighted_entropies` is
-one row of the same measurement.
-:func:`rank_partitions` sorts such rows.
+partition and one entry per partition in each array; it is the one record
+of a partition, and the CLI and the writers read it. Only return maps read
+entry start indices, so :meth:`PartitionTable.entry_indices` gathers those
+of just the rows asked for.
 """
 
 from __future__ import annotations
@@ -100,29 +97,6 @@ class LevelConfig:
             raise ConfigError(f"gap_fraction must lie in (0, 1), got {self.gap_fraction}")
         if self.max_levels < 1:
             raise ConfigError(f"max_levels must be at least 1, got {self.max_levels}")
-
-
-@dataclass(eq=False)
-class PartitionReport:
-    """Everything measured about one ordinal partition.
-
-    ``occurrence_share`` and ``entry_share`` are K and K^ above. Levels are
-    1-based, 1 being the highest-entropy group, as :func:`partition_table`
-    sets them; the one row of :func:`weighted_entropies` leaves them at 1.
-    """
-
-    pattern: OrdinalPattern
-    occurrence: int
-    entries: int
-    occurrence_share: float
-    entry_share: float
-    entropy: float
-    weighted_entropy: float
-    transition_entropy: float
-    entry_indices: np.ndarray = field(repr=False)
-    degenerate: bool = False
-    weighted_level: int = 1
-    transition_level: int = 1
 
 
 def entry_points(seq: SymbolSequence, pattern: OrdinalPattern) -> np.ndarray:
@@ -298,30 +272,15 @@ def _measure(series: TimeSeries, seq: SymbolSequence, sub_cfg) -> dict[str, np.n
     }
 
 
-_MEASURED = (
-    "occurrence", "entries", "occurrence_share", "entry_share",
-    "entropy", "weighted_entropy", "transition_entropy",
-)
-
-
-def _reports(patterns, columns: dict, entry_indices: list[np.ndarray]) -> list[PartitionReport]:
-    """One report per row of the columns, field by field as :class:`PartitionReport` orders them."""
-    rows = zip(
-        patterns,
-        *(columns[name].tolist() for name in _MEASURED),
-        entry_indices,
-        *(columns[name].tolist() for name in ("degenerate", "weighted_level", "transition_level")),
-    )
-    return [PartitionReport(*row) for row in rows]
-
-
 @dataclass(frozen=True, eq=False)
 class PartitionTable:
-    """Every occurring partition of ``seq`` as columns, one array per :class:`PartitionReport` field.
+    """Every occurring partition of ``seq`` as columns, one array per measure.
 
     Row i is the partition of ``seq.patterns[i]``, shown as ``seq.shown[i]``.
-    Each array has one entry per row. The entry start indices are no column:
-    :meth:`entry_indices` derives those of the rows asked for from ``seq``.
+    Each array has one entry per row. ``occurrence_share`` and ``entry_share``
+    are K and K^ above; levels are 1-based, 1 being the highest-entropy group.
+    The entry start indices are no column: :meth:`entry_indices` derives
+    those of the rows asked for from ``seq``.
     """
 
     seq: SymbolSequence = field(repr=False)
@@ -352,33 +311,9 @@ class PartitionTable:
         picked = picked[np.argsort(inverse[picked], kind="stable")]
         return np.split(picked * self.seq.config.w, np.cumsum(self.entries[rows]))[:-1]
 
-    def reports(self) -> list[PartitionReport]:
-        """The rows, in pattern order, as :func:`analyze_partitions` returns them."""
-        return _reports(self.seq.patterns, vars(self), self.entry_indices(np.arange(len(self.entries))))
-
-
-def weighted_entropies(
-    series: TimeSeries,
-    seq: SymbolSequence,
-    pattern: OrdinalPattern,
-    sub_cfg: SubSeriesConfig | None = None,
-) -> PartitionReport:
-    """Measure one partition: shares, sub-series entropy, weighted variants."""
-    if (i := seq.index(pattern)) < 0:
-        raise PatternAbsentError(f"pattern {pattern.dashed()} does not occur")
-    row = {name: column[i : i + 1] for name, column in _measure(series, seq, sub_cfg).items()}
-    return _reports([pattern], row, [entry_points(seq, pattern)])[0]
-
 
 RANK_KEYS = ("weighted_entropy", "transition_entropy")
 LEVEL_KEYS = ("weighted_level", "transition_level")
-
-
-def rank_partitions(reports: list[PartitionReport], by: str = "transition_entropy") -> list[PartitionReport]:
-    """Stable descending sort by the chosen entropy, ties lexicographic."""
-    if by not in RANK_KEYS:
-        raise ValueError(f"by must be one of {RANK_KEYS}, got {by!r}")
-    return sorted(reports, key=lambda r: (-getattr(r, by), r.pattern.perm))
 
 
 def detect_levels(
@@ -421,17 +356,8 @@ def partition_table(
     levels = levels or LevelConfig()
     columns = _measure(series, seq, sub_cfg)
     for by, attr in zip(RANK_KEYS, LEVEL_KEYS):
-        # rows are in pattern order, so a stable sort ranks as rank_partitions does
+        # rows are in pattern order, so a stable sort ranks ties in pattern order
         ranked = np.argsort(-columns[by], kind="stable")
         columns[attr][ranked] = _level_labels(columns[by][ranked], levels.gap_fraction, levels.max_levels)
     return PartitionTable(seq, **columns)
 
-
-def analyze_partitions(
-    series: TimeSeries,
-    seq: SymbolSequence,
-    sub_cfg: SubSeriesConfig | None = None,
-    levels: LevelConfig | None = None,
-) -> list[PartitionReport]:
-    """Report on every occurring partition, levels assigned, in pattern order."""
-    return partition_table(series, seq, sub_cfg, levels).reports()

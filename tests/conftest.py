@@ -33,8 +33,7 @@ def lorenz_series():
 @pytest.fixture(scope="session")
 def lorenz_analysis(lorenz_series):
     seq = om.symbolize(lorenz_series, om.WindowConfig())
-    reports = om.analyze_partitions(lorenz_series, seq)
-    return seq, reports
+    return seq, om.partition_table(lorenz_series, seq)
 
 
 @pytest.fixture

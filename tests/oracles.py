@@ -5,12 +5,12 @@ dict counters and direct formula transcription. Tests freeze oracle
 outputs or compare package results against them; the package never
 imports this module, which borrows only the package's error types and
 series container, and for :func:`partition_reports` and
-:func:`partition_columns` its report row, configs, ``symbolize`` and key
-packing.
+:func:`partition_columns` its configs, ``symbolize`` and key packing.
 """
 
 import math
 import re
+from collections import namedtuple
 from dataclasses import replace
 
 import numpy as np
@@ -233,13 +233,20 @@ def levels(sorted_vals, gap_fraction=0.15, max_levels=3):
     return labels
 
 
+PartitionRow = namedtuple(
+    "PartitionRow",
+    "pattern occurrence entries occurrence_share entry_share entropy weighted_entropy transition_entropy "
+    "entry_indices degenerate weighted_level transition_level",
+)
+
+
 def partition_reports(series, seq, sub_cfg=None, level_cfg=None):
-    """Every partition's report, one object and one entropy sum per partition.
+    """Every partition as one :class:`PartitionRow`, with one entropy sum per partition.
 
     The per-partition path that ``ordmaps.ranking.partition_table`` replaced:
     windows split by pattern, terms and entry indices split per partition,
-    each block summed on its own, and levels set report by report after two
-    key sorts.
+    each block summed on its own, and levels set row by row after two key
+    sorts.
     """
     sub_cfg = sub_cfg or ranking.SubSeriesConfig()
     level_cfg = level_cfg or ranking.LevelConfig()
@@ -268,18 +275,18 @@ def partition_reports(series, seq, sub_cfg=None, level_cfg=None):
         blocks = np.split(terms, np.cumsum(np.bincount(row, minlength=len(groups)))[:-1], axis=1)
         sums = np.array([block.sum(axis=1) for block in blocks])
     entry_indices = np.split(seq.start_indices[order[entered]], np.cumsum(entries)[:-1])
-    reports = [
-        ranking.PartitionReport(pattern, o, e, k, k_hat, h, h_w, h_wt, idx, o < sub_cfg.min_samples())
+    rows = [
+        PartitionRow(pattern, o, e, k, k_hat, h, h_w, h_wt, idx, o < sub_cfg.min_samples(), 1, 1)
         for pattern, o, e, k, k_hat, (h, h_w, h_wt), idx in zip(
             seq.patterns, occurrence.tolist(), entries.tolist(), *shares.tolist(), (-sums + 0.0).tolist(), entry_indices
         )
     ]
     for by, attr in zip(ranking.RANK_KEYS, ranking.LEVEL_KEYS):
-        ranked = sorted(reports, key=lambda r: (-getattr(r, by), r.pattern.perm))
-        labels = levels([getattr(r, by) for r in ranked], level_cfg.gap_fraction, level_cfg.max_levels)
-        for report, label in zip(ranked, labels):
-            setattr(report, attr, label)
-    return reports
+        ranked = sorted(range(len(rows)), key=lambda i: (-getattr(rows[i], by), rows[i].pattern.perm))
+        labels = levels([getattr(rows[i], by) for i in ranked], level_cfg.gap_fraction, level_cfg.max_levels)
+        for i, label in zip(ranked, labels):
+            rows[i] = rows[i]._replace(**{attr: label})
+    return rows
 
 
 def symbolize_one_shot(series, cfg):

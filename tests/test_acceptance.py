@@ -16,7 +16,6 @@ import pytest
 
 import ordmaps as om
 from ordmaps import cli, manifest
-from ordmaps.ranking import rank_partitions
 import oracles
 
 RESULTS: list[tuple[int, str, bool, str]] = []
@@ -90,7 +89,7 @@ def test_c01_symbolize_matches_bruteforce_oracle(rng):
         seq = om.symbolize(om.TimeSeries(values, dt=1.0), om.WindowConfig(m=m, tau=tau, w=w))
         expected = oracles.symbolize(values.tolist(), m, tau, w, "chronological")
         random_checked += 1
-        if [s.perm for s in seq.symbols] != expected:
+        if [seq.patterns[i].perm for i in seq.inverse.tolist()] != expected:
             mismatches += 1
     elapsed = time.perf_counter() - start
     ok = mismatches == 0 and elapsed < 30.0
@@ -138,10 +137,11 @@ def test_c03_window_count_identity(rng):
 
 
 def test_c04_pattern_bound(rng, lorenz_analysis):
-    _, reports = lorenz_analysis
+    _, table = lorenz_analysis
+    patterns = len(table.occurrence)
     violations = []
-    if len(reports) > math.factorial(4):
-        violations.append(f"lorenz run has {len(reports)} patterns")
+    if patterns > math.factorial(4):
+        violations.append(f"lorenz run has {patterns} patterns")
     for _ in range(200):
         n = int(rng.integers(10, 200))
         m = int(rng.integers(2, 6))
@@ -155,7 +155,7 @@ def test_c04_pattern_bound(rng, lorenz_analysis):
     ok = not violations
     _record(4, "pattern count bounded by m!", ok,
             "; ".join(violations) if violations else
-            f"200 random runs + monotone + lorenz ({len(reports)} of 24 patterns)")
+            f"200 random runs + monotone + lorenz ({patterns} of 24 patterns)")
     assert ok, violations
 
 
@@ -202,9 +202,9 @@ def test_c06_descending_partition_range():
 
 
 def test_c07_partition_frm_matches_maxima_frm(lorenz_series, lorenz_analysis):
-    seq, reports = lorenz_analysis
-    report = next(r for r in reports if r.pattern.perm == (4, 3, 2, 1))
-    part_rm = om.frm_from_entries(lorenz_series, report.entry_indices)
+    seq, table = lorenz_analysis
+    [entry_indices] = table.entry_indices([seq.index(om.OrdinalPattern((4, 3, 2, 1)))])
+    part_rm = om.frm_from_entries(lorenz_series, entry_indices)
     max_rm = om.maxima_frm(lorenz_series)
 
     p = part_rm.pairs
@@ -216,7 +216,7 @@ def test_c07_partition_frm_matches_maxima_frm(lorenz_series, lorenz_analysis):
     mean_nn = float(np.sqrt(d2.min(axis=1)).mean())
 
     max_idx = om.local_maxima_indices(lorenz_series)
-    gaps = np.abs(report.entry_indices[:, None] - max_idx[None, :]).min(axis=1)
+    gaps = np.abs(entry_indices[:, None] - max_idx[None, :]).min(axis=1)
     near_share = float((gaps <= 18).mean())
 
     ok = mean_nn < 0.05 * diag and near_share >= 0.95
@@ -227,10 +227,10 @@ def test_c07_partition_frm_matches_maxima_frm(lorenz_series, lorenz_analysis):
 
 
 def test_c08_three_entropy_levels(lorenz_analysis):
-    _, reports = lorenz_analysis
-    levels = {r.transition_level for r in reports}
-    var_w = float(np.var([r.weighted_entropy for r in reports]))
-    var_wt = float(np.var([r.transition_entropy for r in reports]))
+    _, table = lorenz_analysis
+    levels = set(table.transition_level.tolist())
+    var_w = float(np.var(table.weighted_entropy))
+    var_wt = float(np.var(table.transition_entropy))
     ok = levels == {1, 2, 3} and var_w > var_wt
     _record(8, "three entropy levels and variance ordering", ok,
             f"h_wt levels {sorted(levels)}; var(h_w) = {var_w:.4f} > var(h_wt) = {var_wt:.4f}")
@@ -238,8 +238,8 @@ def test_c08_three_entropy_levels(lorenz_analysis):
 
 
 def test_c09_level_network_forbidden_edges(lorenz_analysis):
-    seq, reports = lorenz_analysis
-    net = om.build_level_network(om.level_sequence(seq, reports))
+    seq, table = lorenz_analysis
+    net = om.build_level_network(om.level_sequence(seq, table))
     total = net.total()
     w23 = net.weight(2, 3)
     w33 = net.weight(3, 3)
@@ -251,20 +251,21 @@ def test_c09_level_network_forbidden_edges(lorenz_analysis):
 
 
 def test_c10_wing_confinement_by_level(lorenz_series, lorenz_analysis):
-    _, reports = lorenz_analysis
+    seq, table = lorenz_analysis
     violations = []
     evaluated = 0
-    for r in sorted(reports, key=lambda r: r.pattern.perm):
-        if len(r.entry_indices) < 2:
+    rows = range(len(seq.patterns))  # in pattern order
+    for pattern, level, entry_indices in zip(seq.patterns, table.transition_level.tolist(), table.entry_indices(rows)):
+        if len(entry_indices) < 2:
             continue
         evaluated += 1
-        split = om.wing_split(om.frm_from_entries(lorenz_series, r.entry_indices))
+        split = om.wing_split(om.frm_from_entries(lorenz_series, entry_indices))
         straddles = split.above_count > 0 and split.below_count > 0
-        if r.transition_level in (1, 2) and not straddles:
-            violations.append(f"{r.pattern.dashed()} (level {r.transition_level}) one-sided")
-        elif r.transition_level == 3 and straddles:
+        if level in (1, 2) and not straddles:
+            violations.append(f"{pattern.dashed()} (level {level}) one-sided")
+        elif level == 3 and straddles:
             violations.append(
-                f"{r.pattern.dashed()} (level 3) straddles "
+                f"{pattern.dashed()} (level 3) straddles "
                 f"{split.above_count}/{split.below_count}"
             )
     ok = len(violations) <= 1
@@ -278,40 +279,41 @@ def test_c11_secondary_system_levels(rossler_series, mackey_series, lorenz_serie
     clauses = []
 
     seq = om.symbolize(rossler_series, om.window_from_embedding(om.ROSSLER_EMBEDDING, 4))
-    reports = om.analyze_partitions(rossler_series, seq)
-    ros_w = len({r.weighted_level for r in reports})
-    ros_wt = len({r.transition_level for r in reports})
+    table = om.partition_table(rossler_series, seq)
+    ros_w = len(set(table.weighted_level.tolist()))
+    ros_wt = len(set(table.transition_level.tolist()))
     ros_ok = ros_w == 3 and ros_wt == 2
     clauses.append((ros_ok, f"rossler h_w {ros_w} levels (need 3), h_wt {ros_wt} (need 2)"))
 
     seq = om.symbolize(mackey_series, om.window_from_embedding(om.MACKEY_GLASS_EMBEDDING, 4))
-    reports = om.analyze_partitions(mackey_series, seq)
-    mg_w = len({r.weighted_level for r in reports})
-    mg_wt = len({r.transition_level for r in reports})
+    table = om.partition_table(mackey_series, seq)
+    mg_w = len(set(table.weighted_level.tolist()))
+    mg_wt = len(set(table.transition_level.tolist()))
     mg_ok = mg_w == 1 and mg_wt == 1
-    ranked = rank_partitions(reports, "weighted_entropy")
-    top_gap = ranked[1].weighted_entropy - ranked[2].weighted_entropy
+    ranked = np.sort(table.weighted_entropy)[::-1]
+    top_gap = ranked[1] - ranked[2]
     clauses.append((
         mg_ok,
         f"mackey-glass expected one level, detector finds {mg_w} (h_w) / {mg_wt} (h_wt): "
         f"the two monotone patterns dominate occurrence, and the drop after them "
-        f"({top_gap:.3f} from a top value of {ranked[0].weighted_entropy:.3f}) "
+        f"({top_gap:.3f} from a top value of {ranked[0]:.3f}) "
         f"exceeds the 0.15 gap fraction; no seed is involved (constant prehistory), "
         f"and m in {{3, 4, 5}} behaves the same, so the cliff is structural",
     ))
 
     seq = om.symbolize(lorenz_series, om.window_from_embedding(om.LORENZ_EMBEDDING, 10))
-    reports = om.analyze_partitions(lorenz_series, seq)
-    count_ok = len(reports) <= math.factorial(10)
-    top = [r for r in reports if r.transition_level == 1]
+    table = om.partition_table(lorenz_series, seq)
+    patterns = len(table.occurrence)
+    count_ok = patterns <= math.factorial(10)
+    top = table.entry_indices(np.flatnonzero(table.transition_level == 1))
     frm_ok = all(
-        len(r.entry_indices) >= 2
-        and len(om.frm_from_entries(lorenz_series, r.entry_indices)) >= 1
-        for r in top
+        len(entry_indices) >= 2
+        and len(om.frm_from_entries(lorenz_series, entry_indices)) >= 1
+        for entry_indices in top
     )
     m10_ok = count_ok and frm_ok and len(top) > 0
     clauses.append((m10_ok,
-                    f"lorenz m=10: {len(reports)} patterns <= 10!, "
+                    f"lorenz m=10: {patterns} patterns <= 10!, "
                     f"{len(top)} top-level partitions, all FRMs non-empty"))
 
     ok = all(c for c, _ in clauses)

@@ -17,7 +17,7 @@ import pytest
 
 LAYERS = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
 # gone from the CLI on purpose; the benchmark reports them as not wrapped until it is rebuilt
-GONE = {"ordmaps.cli.markov_estimate", "ordmaps.cli.analyze_partitions"}
+GONE = {"ordmaps.cli.markov_estimate", "ordmaps.cli.analyze_partitions", "ordmaps.ranking.weighted_entropies"}
 
 
 def _cli_wraps():

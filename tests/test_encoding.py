@@ -199,7 +199,7 @@ def test_symbolize_stride_and_start_indices():
     seq = om.symbolize(ts, om.WindowConfig(m=3, tau=2, w=3))
     # span 4 -> windows start at 0 and 3
     assert seq.start_indices.tolist() == [0, 3]
-    assert all(s.perm == (1, 2, 3) for s in seq.symbols)
+    assert all(seq.patterns[i].perm == (1, 2, 3) for i in seq.inverse.tolist())
 
 
 def test_a_sequence_keeps_only_its_codes():
@@ -230,7 +230,7 @@ def test_canonical_storage_independent_of_display_ranking():
     amp = om.symbolize(ts, om.WindowConfig(m=3, tau=2, ranking="amplitude"))
     assert chron.codes.tolist() == amp.codes.tolist()
     # display differs, canonical does not
-    p = chron.symbol(0)
+    p = chron.patterns[chron.inverse[0]]
     assert om.display_pattern(p, "amplitude") == om.chron_to_amplitude(p)
     assert om.display_pattern(p, "chronological") == p
     assert om.canonical_pattern(p, "amplitude") == om.amplitude_to_chron(p)

@@ -33,39 +33,45 @@ def test_write_symbols_csv_display_ranking(tmp_path):
 
 def test_write_partitions_csv_layout(tmp_path):
     ts, seq = _analyzed([3, 1, 4, 1, 5, 9, 2, 6])
-    reports = om.analyze_partitions(ts, seq)
     path = tmp_path / "partitions.csv"
     exports.write_partitions_csv(om.partition_table(ts, seq), path)
     lines = path.read_text().splitlines()
     assert lines[0] == ",".join(exports.PARTITION_COLUMNS)
     pats = [line.split(",")[0] for line in lines[1:]]
     assert pats == sorted(pats)
-    assert len(lines) == 1 + len(reports)
+    assert len(lines) == 1 + len(seq.patterns)
 
 
 def test_float_cells_round_trip(tmp_path):
     ts, seq = _analyzed([3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8, 9, 7, 9])
-    reports = om.analyze_partitions(ts, seq)
+    table = om.partition_table(ts, seq)
     path = tmp_path / "partitions.csv"
-    exports.write_partitions_csv(om.partition_table(ts, seq), path)
+    exports.write_partitions_csv(table, path)
     row = path.read_text().splitlines()[1].split(",")
-    by_perm = {r.pattern.dashed(): r for r in reports}
-    r = by_perm[row[0]]
-    assert float(row[5]) == r.entropy
-    assert float(row[6]) == r.weighted_entropy
+    i = [p.dashed() for p in seq.patterns].index(row[0])
+    assert float(row[5]) == table.entropy[i]
+    assert float(row[6]) == table.weighted_entropy[i]
 
 
 def test_write_entropy_curve_ranked(tmp_path):
     ts, seq = _analyzed([3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8, 9, 7, 9])
-    reports = om.analyze_partitions(ts, seq)
     path = tmp_path / "curve.csv"
     exports.write_entropy_curve_csv(om.partition_table(ts, seq), path)
     lines = path.read_text().splitlines()
     assert lines[0] == "rank,pattern,h_wt,h_w,level_wt,level_w"
     ranks = [int(line.split(",")[0]) for line in lines[1:]]
-    assert ranks == list(range(1, len(reports) + 1))
+    assert ranks == list(range(1, len(seq.patterns) + 1))
     hwt = [float(line.split(",")[2]) for line in lines[1:]]
     assert hwt == sorted(hwt, reverse=True)
+
+    # two patterns fill most windows; the rare ones are degenerate, so their h_wt ties at 0
+    ts, seq = _analyzed([0, 2, 1] * 20 + [3, 1, 4, 1, 5, 9, 2, 6], m=3)
+    table = om.partition_table(ts, seq)
+    assert 2 <= table.degenerate.sum() < len(seq.patterns)
+    exports.write_entropy_curve_csv(table, path)
+    row = {text: i for i, text in enumerate(seq.shown)}
+    keys = [(-float(line.split(",")[2]), row[line.split(",")[1]]) for line in path.read_text().splitlines()[1:]]
+    assert keys == sorted(keys)  # descending h_wt, tied rows in pattern order
 
 
 def test_write_opn_files(tmp_path):

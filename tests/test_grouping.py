@@ -5,6 +5,7 @@ with several tau and w.
 """
 
 from collections import Counter
+import dataclasses
 import itertools
 
 import numpy as np
@@ -29,7 +30,7 @@ def test_grouping_consumers_match_oracles(rng):
         symbols = oracles.symbolize(values, m, tau, w)
         entries = oracles.entry_positions(symbols)
 
-        assert [s.perm for s in seq.symbols] == symbols
+        assert [seq.patterns[i].perm for i in seq.inverse.tolist()] == symbols
         assert [(p.perm, c) for p, c in om.distinct_patterns(seq)] == sorted(Counter(symbols).items())
 
         for i, p in enumerate(seq.patterns):
@@ -44,15 +45,14 @@ def test_grouping_consumers_match_oracles(rng):
             got = {(perms[i], perms[j]): c for i, j, c in zip(tc.source.tolist(), tc.target.tolist(), tc.count.tolist())}
             assert got == oracles.pair_counts(symbols)
 
-        reports = om.analyze_partitions(ts, seq)
-        assert [(r.occurrence, r.entries) for r in reports] == [
+        table = om.partition_table(ts, seq)
+        assert list(zip(table.occurrence.tolist(), table.entries.tolist())) == [
             (symbols.count(p.perm), sum(symbols[k] == p.perm for k in entries)) for p in seq.patterns
         ]
-        level = {}
-        for r in reports:
-            level[r.pattern.perm] = r.transition_level = int(rng.integers(1, 4))
-        assert om.level_sequence(seq, reports).tolist() == [level[s] for s in symbols]
-        assert om.entry_level_sequence(seq, reports).tolist() == [level[symbols[k]] for k in entries]
+        level = {p.perm: int(rng.integers(1, 4)) for p in seq.patterns}
+        table = dataclasses.replace(table, transition_level=np.array([level[p.perm] for p in seq.patterns]))
+        assert om.level_sequence(seq, table).tolist() == [level[s] for s in symbols]
+        assert om.entry_level_sequence(seq, table).tolist() == [level[symbols[k]] for k in entries]
 
 
 def test_absent_or_wrong_length_pattern_selects_nothing():
@@ -62,8 +62,6 @@ def test_absent_or_wrong_length_pattern_selects_nothing():
         assert om.entry_points(seq, pattern).tolist() == []
         with pytest.raises(om.PatternAbsentError, match=pattern.dashed()):
             om.extract_subseries(ts, seq, pattern)
-        with pytest.raises(om.PatternAbsentError, match=pattern.dashed()):
-            om.weighted_entropies(ts, seq, pattern)
 
 
 def test_grouping_is_computed_once_and_cannot_go_stale():
@@ -80,7 +78,6 @@ def test_one_pattern_queries_decode_no_pattern(tmp_path, monkeypatch):
     for query in (
         lambda seq: om.entry_points(seq, pattern),
         lambda seq: om.extract_subseries(ts, seq, pattern),
-        lambda seq: om.weighted_entropies(ts, seq, pattern),
     ):
         seq = om.symbolize(ts, cfg)
         query(seq)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -10,54 +12,42 @@ def _analyzed(values, m=2):
     return ts, seq
 
 
-def _reports_with_levels(level_by_perm, attr="transition_level"):
-    reports = []
-    for perm, level in level_by_perm.items():
-        r = om.PartitionReport(
-            pattern=om.OrdinalPattern(perm),
-            occurrence=1,
-            entries=1,
-            occurrence_share=0.5,
-            entry_share=0.5,
-            entropy=0.0,
-            weighted_entropy=0.0,
-            transition_entropy=0.0,
-            entry_indices=np.array([0]),
-        )
-        setattr(r, attr, level)
-        reports.append(r)
-    return reports
+def _table_with_levels(ts, seq, level_by_perm):
+    """The partition table of ``seq`` with its ``transition_level`` replaced, one per pattern."""
+    levels = np.array([level_by_perm[p.perm] for p in seq.patterns], dtype=np.int64)
+    return dataclasses.replace(om.partition_table(ts, seq), transition_level=levels)
 
 
 def test_level_sequence_maps_windows():
-    _, seq = _analyzed([1, 2, 3, 2, 1, 2])  # A A B B A
-    reports = _reports_with_levels({(1, 2): 1, (2, 1): 2})
-    assert om.level_sequence(seq, reports).tolist() == [1, 1, 2, 2, 1]
-    # the other attribute defaults to 1 on these synthetic reports
-    assert om.level_sequence(seq, reports, by="weighted_level").tolist() == [1] * 5
+    ts, seq = _analyzed([1, 2, 3, 2, 1, 2])  # A A B B A
+    table = _table_with_levels(ts, seq, {(1, 2): 1, (2, 1): 2})
+    assert om.level_sequence(seq, table).tolist() == [1, 1, 2, 2, 1]
+    # both partitions are degenerate, so the levels the table detected are all 1
+    assert om.level_sequence(seq, table, by="weighted_level").tolist() == [1] * 5
 
 
 def test_level_sequence_validation():
-    _, seq = _analyzed([1, 2, 3, 2, 1, 2])
-    reports = _reports_with_levels({(1, 2): 1})
-    with pytest.raises(om.PatternAbsentError, match="2-1"):
-        om.level_sequence(seq, reports)
+    ts, seq = _analyzed([1, 2, 3, 2, 1, 2])
+    table = _table_with_levels(ts, seq, {(1, 2): 1, (2, 1): 2})
     with pytest.raises(ValueError, match="by must be"):
-        om.level_sequence(seq, reports, by="level")
+        om.level_sequence(seq, table, by="level")
 
 
 def test_entry_level_sequence_compresses_runs():
-    _, seq = _analyzed([1, 2, 3, 2, 1, 2])  # entries at positions 0, 2, 4
-    reports = _reports_with_levels({(1, 2): 1, (2, 1): 2})
-    assert om.entry_level_sequence(seq, reports).tolist() == [1, 2, 1]
+    ts, seq = _analyzed([1, 2, 3, 2, 1, 2])  # entries at positions 0, 2, 4
+    table = _table_with_levels(ts, seq, {(1, 2): 1, (2, 1): 2})
+    assert om.entry_level_sequence(seq, table).tolist() == [1, 2, 1]
 
 
 def test_level_sequence_of_a_table_matches_its_rows(lorenz_series, lorenz_analysis):
-    seq, reports = lorenz_analysis
-    table = om.partition_table(lorenz_series, seq)
+    seq, table = lorenz_analysis
+    windows = seq.inverse.tolist()
     for by in ("transition_level", "weighted_level"):
-        assert np.array_equal(om.level_sequence(seq, table, by), om.level_sequence(seq, reports, by))
-        assert np.array_equal(om.entry_level_sequence(seq, table, by), om.entry_level_sequence(seq, reports, by))
+        level_of = getattr(table, by).tolist()
+        want = [level_of[i] for i in windows]
+        assert om.level_sequence(seq, table, by).tolist() == want
+        entered = seq.entries.tolist()
+        assert om.entry_level_sequence(seq, table, by).tolist() == [lv for lv, e in zip(want, entered) if e]
     twin = om.symbolize(lorenz_series, seq.config)
     with pytest.raises(ValueError, match="another symbol sequence"):
         om.level_sequence(twin, table)
@@ -80,11 +70,11 @@ def test_build_level_network_validation():
 
 
 def test_level_network_from_analysis(lorenz_series, lorenz_analysis):
-    seq, reports = lorenz_analysis
-    lv = om.level_sequence(seq, reports)
+    seq, table = lorenz_analysis
+    lv = om.level_sequence(seq, table)
     net = om.build_level_network(lv)
     assert net.total() == len(seq.codes) - 1
     assert net.weights.sum(axis=None) == net.total()
     # collapsing runs to entries leaves fewer transitions
-    entry_net = om.build_level_network(om.entry_level_sequence(seq, reports))
+    entry_net = om.build_level_network(om.entry_level_sequence(seq, table))
     assert entry_net.total() < net.total()

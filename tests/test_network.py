@@ -53,7 +53,7 @@ def test_network_holds_edges_not_a_pattern_matrix(rng):
     arrays = [value for value in vars(tc).values() if isinstance(value, np.ndarray)]
     assert len(arrays) == 3 and all(a.size == tc.source.size <= len(seq) - 1 for a in arrays)
     assert peak < p * p  # bytes: not even one byte per cell of the P x P matrix
-    symbols = [s.perm for s in seq.symbols]
+    symbols = [seq.patterns[i].perm for i in seq.inverse.tolist()]
     assert tc.total() == len(seq) - 1 and tc.source.size == len(oracles.pair_counts(symbols))
 
 

@@ -9,7 +9,7 @@ import pytest
 import ordmaps as om
 from ordmaps import ranking
 from ordmaps.encoding import BLOCK
-from ordmaps.ranking import LEVEL_KEYS, rank_partitions
+from ordmaps.ranking import LEVEL_KEYS
 import oracles
 
 
@@ -41,7 +41,7 @@ def test_entry_points_examples():
     # symbols A A B B A over starts 0..4
     ts, seq = _analyzed([1, 2, 3, 2, 1, 2])
     up, down = om.OrdinalPattern((1, 2)), om.OrdinalPattern((2, 1))
-    assert [s.perm for s in seq.symbols] == [(1, 2), (1, 2), (2, 1), (2, 1), (1, 2)]
+    assert [seq.patterns[i].perm for i in seq.inverse.tolist()] == [(1, 2), (1, 2), (2, 1), (2, 1), (1, 2)]
     assert om.entry_points(seq, up).tolist() == [0, 4]
     assert om.entry_points(seq, down).tolist() == [2]
 
@@ -65,41 +65,40 @@ def test_extract_subseries_values_and_absent_error():
     ts, seq = _analyzed([1, 2, 3, 4])
     with pytest.raises(om.PatternAbsentError, match="2-1"):
         om.extract_subseries(ts, seq, om.OrdinalPattern((2, 1)))
-    with pytest.raises(om.PatternAbsentError):
-        om.weighted_entropies(ts, seq, om.OrdinalPattern((2, 1)))
 
 
 def test_weighted_entropies_frozen_digit_case():
     ts, seq = _analyzed(PI_DIGITS)
+    t = om.partition_table(ts, seq)
 
-    r = om.weighted_entropies(ts, seq, om.OrdinalPattern((1, 2)))
-    assert (r.occurrence, r.entries) == (8, 5)
-    assert r.occurrence_share == pytest.approx(8 / 14, abs=0)
-    assert r.entry_share == pytest.approx(0.5, abs=0)
-    assert r.entry_indices.tolist() == [1, 3, 6, 9, 13]
-    assert not r.degenerate
-    assert r.entropy == pytest.approx(1.3709505944546687, rel=1e-13)
-    assert r.weighted_entropy == pytest.approx(1.2447460094355844, rel=1e-13)
-    assert r.transition_entropy == pytest.approx(1.1854752972273344, rel=1e-13)
+    i = seq.index(om.OrdinalPattern((1, 2)))
+    assert (t.occurrence[i], t.entries[i]) == (8, 5)
+    assert t.occurrence_share[i] == pytest.approx(8 / 14, abs=0)
+    assert t.entry_share[i] == pytest.approx(0.5, abs=0)
+    assert t.entry_indices([i])[0].tolist() == [1, 3, 6, 9, 13]
+    assert not t.degenerate[i]
+    assert t.entropy[i] == pytest.approx(1.3709505944546687, rel=1e-13)
+    assert t.weighted_entropy[i] == pytest.approx(1.2447460094355844, rel=1e-13)
+    assert t.transition_entropy[i] == pytest.approx(1.1854752972273344, rel=1e-13)
 
-    r = om.weighted_entropies(ts, seq, om.OrdinalPattern((2, 1)))
-    assert (r.occurrence, r.entries) == (6, 5)
-    assert r.entry_indices.tolist() == [0, 2, 5, 7, 12]
-    assert r.entropy == pytest.approx(math.log2(3), rel=1e-13)
-    assert r.weighted_entropy == pytest.approx(1.2031521094532591, rel=1e-13)
-    assert r.transition_entropy == pytest.approx(1.292481250360578, rel=1e-13)
+    i = seq.index(om.OrdinalPattern((2, 1)))
+    assert (t.occurrence[i], t.entries[i]) == (6, 5)
+    assert t.entry_indices([i])[0].tolist() == [0, 2, 5, 7, 12]
+    assert t.entropy[i] == pytest.approx(math.log2(3), rel=1e-13)
+    assert t.weighted_entropy[i] == pytest.approx(1.2031521094532591, rel=1e-13)
+    assert t.transition_entropy[i] == pytest.approx(1.292481250360578, rel=1e-13)
 
 
 def test_full_coverage_collapses_weighting():
     # every window ascending: K = 1 and a single entrance, so both weighted
     # entropies must equal the raw sub-series entropy
     ts, seq = _analyzed([0, 5, 1, 6, 2, 7, 3, 8, 4, 9], m=2, tau=2)
-    r = om.weighted_entropies(ts, seq, om.OrdinalPattern((1, 2)))
-    assert r.occurrence_share == 1.0
-    assert r.entry_share == 1.0
-    assert r.entropy > 0.0
-    assert r.weighted_entropy == pytest.approx(r.entropy, abs=0)
-    assert r.transition_entropy == pytest.approx(r.entropy, abs=0)
+    t, i = om.partition_table(ts, seq), seq.index(om.OrdinalPattern((1, 2)))
+    assert t.occurrence_share[i] == 1.0
+    assert t.entry_share[i] == 1.0
+    assert t.entropy[i] > 0.0
+    assert t.weighted_entropy[i] == pytest.approx(t.entropy[i], abs=0)
+    assert t.transition_entropy[i] == pytest.approx(t.entropy[i], abs=0)
 
 
 def test_constant_subseries_entropy_zero_but_weighted_positive():
@@ -107,57 +106,37 @@ def test_constant_subseries_entropy_zero_but_weighted_positive():
     # h = 0 while the -K*log2(K) term survives in the weighted form
     values = [0, 1] * 6
     ts, seq = _analyzed(values)
-    r = om.weighted_entropies(ts, seq, om.OrdinalPattern((1, 2)))
-    assert r.entropy == 0.0
-    assert r.occurrence_share == pytest.approx(6 / 11, abs=0)
-    assert r.weighted_entropy == pytest.approx(0.4769831552269861, rel=1e-13)
-    assert r.transition_entropy == pytest.approx(0.4769831552269861, rel=1e-13)
-    r = om.weighted_entropies(ts, seq, om.OrdinalPattern((2, 1)))
-    assert r.weighted_entropy == pytest.approx(0.5170470562499704, rel=1e-13)
+    t, i = om.partition_table(ts, seq), seq.index(om.OrdinalPattern((1, 2)))
+    assert t.entropy[i] == 0.0
+    assert t.occurrence_share[i] == pytest.approx(6 / 11, abs=0)
+    assert t.weighted_entropy[i] == pytest.approx(0.4769831552269861, rel=1e-13)
+    assert t.transition_entropy[i] == pytest.approx(0.4769831552269861, rel=1e-13)
+    i = seq.index(om.OrdinalPattern((2, 1)))
+    assert t.weighted_entropy[i] == pytest.approx(0.5170470562499704, rel=1e-13)
 
 
 def test_degenerate_boundary_three_vs_four_occurrences():
     # default secondary window (m'=3, tau'=1, w'=1) needs 4 samples
     ts, seq = _analyzed([1, 2, 1, 2, 1, 2, 1])
-    r = om.weighted_entropies(ts, seq, om.OrdinalPattern((1, 2)))
-    assert r.occurrence == 3
-    assert r.degenerate
-    assert r.entropy == r.weighted_entropy == r.transition_entropy == 0.0
+    t, i = om.partition_table(ts, seq), seq.index(om.OrdinalPattern((1, 2)))
+    assert t.occurrence[i] == 3
+    assert t.degenerate[i]
+    assert t.entropy[i] == t.weighted_entropy[i] == t.transition_entropy[i] == 0.0
 
     ts, seq = _analyzed([1, 2, 1, 2, 1, 2, 1, 2, 1])
-    r = om.weighted_entropies(ts, seq, om.OrdinalPattern((1, 2)))
-    assert r.occurrence == 4
-    assert not r.degenerate
-    assert r.entropy == 0.0
-    assert r.weighted_entropy == pytest.approx(0.5, abs=0)
+    t, i = om.partition_table(ts, seq), seq.index(om.OrdinalPattern((1, 2)))
+    assert t.occurrence[i] == 4
+    assert not t.degenerate[i]
+    assert t.entropy[i] == 0.0
+    assert t.weighted_entropy[i] == pytest.approx(0.5, abs=0)
 
 
 def test_custom_sub_config_changes_degeneracy():
     ts, seq = _analyzed([1, 2, 1, 2, 1, 2, 1])
     cfg = om.SubSeriesConfig(m=2, tau=1, w=1)
     assert cfg.min_samples() == 3
-    r = om.weighted_entropies(ts, seq, om.OrdinalPattern((1, 2)), sub_cfg=cfg)
-    assert not r.degenerate
-
-
-def test_rank_partitions_order_and_ties():
-    ts, seq = _analyzed(PI_DIGITS)
-    reports = om.analyze_partitions(ts, seq)
-    ranked = rank_partitions(reports, "transition_entropy")
-    vals = [r.transition_entropy for r in ranked]
-    assert vals == sorted(vals, reverse=True)
-
-    # equal entropies fall back to pattern order
-    a = om.weighted_entropies(ts, seq, om.OrdinalPattern((1, 2)))
-    b = om.weighted_entropies(ts, seq, om.OrdinalPattern((2, 1)))
-    a.weighted_entropy = b.weighted_entropy = 0.9
-    assert [r.pattern.perm for r in rank_partitions([b, a], "weighted_entropy")] == [
-        (1, 2),
-        (2, 1),
-    ]
-    with pytest.raises(ValueError, match="by must be"):
-        rank_partitions([a], "entropy")
-    assert rank_partitions([a], "weighted_entropy") == [a]
+    t = om.partition_table(ts, seq, sub_cfg=cfg)
+    assert not t.degenerate[seq.index(om.OrdinalPattern((1, 2)))]
 
 
 def test_detect_levels_examples():
@@ -209,15 +188,14 @@ def test_analyze_partitions_order_and_share_sums(rng):
         n = int(rng.integers(12, 60))
         values = rng.integers(0, 4, size=n).astype(float)
         ts, seq = _analyzed(values.tolist(), m=3)
-        reports = om.analyze_partitions(ts, seq)
-        perms = [r.pattern.perm for r in reports]
+        table = om.partition_table(ts, seq)
+        perms = [p.perm for p in seq.patterns]  # the rows, in order
         assert perms == sorted(perms)
-        assert sum(r.occurrence for r in reports) == len(seq.codes)
-        assert sum(r.occurrence_share for r in reports) == pytest.approx(1.0, abs=1e-12)
-        assert sum(r.entry_share for r in reports) == pytest.approx(1.0, abs=1e-12)
-        for r in reports:
-            assert r.entries <= r.occurrence
-            assert r.entries >= 1
+        assert sum(table.occurrence.tolist()) == len(seq.codes)
+        assert sum(table.occurrence_share.tolist()) == pytest.approx(1.0, abs=1e-12)
+        assert sum(table.entry_share.tolist()) == pytest.approx(1.0, abs=1e-12)
+        assert np.all(table.entries <= table.occurrence)
+        assert np.all(table.entries >= 1)
 
 
 def _oracle_partition(values, symbols, perm, w, sub):
@@ -241,23 +219,18 @@ def test_every_partition_matches_oracle_on_secondary_window_grid(rng, monkeypatc
         w = int(rng.integers(1, 3))
         ts, seq = _analyzed(values, m=m, w=w)
         sub = om.SubSeriesConfig(m=sub_m, tau=sub_tau, w=sub_w)
-        symbols = [s.perm for s in seq.symbols]
+        symbols = [seq.patterns[i].perm for i in seq.inverse.tolist()]
         calls.clear()
-        reports = om.analyze_partitions(ts, seq, sub)
+        t = om.partition_table(ts, seq, sub)
         assert len(calls) <= 1
-        for r in reports:
-            h, h_w, h_wt, degenerate, entry_indices = _oracle_partition(values, symbols, r.pattern.perm, w, sub)
-            assert (r.degenerate, r.entry_indices.tolist()) == (degenerate, entry_indices)
-            assert r.degenerate == (r.occurrence < sub.min_samples())
-            assert [r.entropy, r.weighted_entropy, r.transition_entropy] == pytest.approx([h, h_w, h_wt], abs=1e-12)
-            one_window += oracles.window_count(r.occurrence, sub_m, sub_tau, sub_w) == 1
-        for r in reports[:: max(1, len(reports) // 5)]:
-            single = om.weighted_entropies(ts, seq, r.pattern, sub)
-            for name, value in vars(r).items():
-                if name == "entry_indices":
-                    assert np.array_equal(getattr(single, name), value)
-                elif name not in LEVEL_KEYS:
-                    assert getattr(single, name) == value, name  # bitwise, not approximately
+        rows = range(len(seq.patterns))
+        for i, pattern, entry_indices in zip(rows, seq.patterns, t.entry_indices(rows), strict=True):
+            h, h_w, h_wt, degenerate, want_entries = _oracle_partition(values, symbols, pattern.perm, w, sub)
+            assert (bool(t.degenerate[i]), entry_indices.tolist()) == (degenerate, want_entries)
+            assert t.degenerate[i] == (t.occurrence[i] < sub.min_samples())
+            got = [t.entropy[i], t.weighted_entropy[i], t.transition_entropy[i]]
+            assert got == pytest.approx([h, h_w, h_wt], abs=1e-12)
+            one_window += oracles.window_count(int(t.occurrence[i]), sub_m, sub_tau, sub_w) == 1
     assert one_window > 0  # some partitions host exactly one secondary window
 
 
@@ -267,10 +240,10 @@ def test_all_degenerate_partitions_symbolize_nothing(monkeypatch):
 
     monkeypatch.setattr(ranking, "encode_windows", refuse)
     ts, seq = _analyzed([0, 3, 1, 2, 2, 0, 3, 1, 0, 2, 3], m=3)
-    reports = om.analyze_partitions(ts, seq)
-    assert reports and all(r.degenerate and r.occurrence < 4 for r in reports)
-    assert {(r.entropy, r.weighted_entropy, r.transition_entropy) for r in reports} == {(0.0, 0.0, 0.0)}
-    assert sum(r.entries for r in reports) == seq.entry_count
+    t = om.partition_table(ts, seq)
+    assert len(t.occurrence) and np.all(t.degenerate & (t.occurrence < 4))
+    assert set(zip(t.entropy.tolist(), t.weighted_entropy.tolist(), t.transition_entropy.tolist())) == {(0.0, 0.0, 0.0)}
+    assert t.entries.sum() == seq.entry_count
 
 
 def test_level_config_holds_detector_defaults_and_checks():
@@ -280,8 +253,8 @@ def test_level_config_holds_detector_defaults_and_checks():
     with pytest.raises(om.ConfigError, match="max_levels"):
         om.LevelConfig(max_levels=0)
     ts, seq = _analyzed(PI_DIGITS)
-    one = om.analyze_partitions(ts, seq, levels=om.LevelConfig(max_levels=1))
-    assert {r.transition_level for r in one} == {1}
+    one = om.partition_table(ts, seq, levels=om.LevelConfig(max_levels=1))
+    assert set(one.transition_level.tolist()) == {1}
 
 
 def test_subseries_config_checks_its_window():
@@ -290,7 +263,7 @@ def test_subseries_config_checks_its_window():
 
 
 def _assert_table_is_oracle(ts, seq, sub=None, levels=None):
-    """Every column of the table, and every field of its rows, bitwise as the per-partition oracle."""
+    """Every column of the table, and the entry indices of every row, bitwise as the per-partition oracle."""
     table = om.partition_table(ts, seq, sub, levels)
     want = oracles.partition_reports(ts, seq, sub, levels)
     assert table.seq is seq
@@ -302,13 +275,6 @@ def _assert_table_is_oracle(ts, seq, sub=None, levels=None):
     for mine, theirs in zip(table.entry_indices(np.arange(len(want))), want, strict=True):
         assert mine.dtype == theirs.entry_indices.dtype
         assert np.array_equal(mine, theirs.entry_indices)
-    got = table.reports()
-    assert [r.pattern for r in got] == list(seq.patterns)
-    for mine, theirs in zip(got, want, strict=True):
-        assert mine.entry_indices.dtype == theirs.entry_indices.dtype
-        assert np.array_equal(mine.entry_indices, theirs.entry_indices)
-        # repr is exact for floats, keeps the sign of zero and names numpy scalar types
-        assert repr({**vars(mine), "entry_indices": None}) == repr({**vars(theirs), "entry_indices": None})
     return table
 
 
@@ -353,10 +319,11 @@ def test_partition_table_matches_oracle_when_degenerate_or_tied(rng):
 
 
 def test_partition_table_matches_oracle_on_lorenz(lorenz_series, lorenz_analysis):
-    seq, reports = lorenz_analysis
+    seq, _ = lorenz_analysis
     table = _assert_table_is_oracle(lorenz_series, seq)
-    rows = np.arange(1, len(reports), 3)  # any ascending rows, gathered together
-    assert [e.tolist() for e in table.entry_indices(rows)] == [reports[i].entry_indices.tolist() for i in rows]
+    every = table.entry_indices(np.arange(len(table.entries)))
+    rows = np.arange(1, len(every), 3)  # any ascending rows, gathered together
+    assert [e.tolist() for e in table.entry_indices(rows)] == [every[i].tolist() for i in rows]
     assert table.entry_indices([]) == []
     with pytest.raises(ValueError, match="ascend"):
         table.entry_indices([2, 1])
