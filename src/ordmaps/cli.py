@@ -25,6 +25,11 @@ in ``runs/<manifest digest prefix>/``. Any bad input ends with one
 A command is a tuple of stages, each writing one group of files; pipeline runs
 those of generate, analyze, levels and embed, plus its own map stage. A run
 computes each part of its analysis when a stage first reads it, and only then.
+A pipeline computes its whole analysis first and then forks: a child runs the
+embed stage, reporting its files and its outcome through a pipe, while the
+parent runs the others; where ``os.fork`` is missing the stages run in turn.
+A run on a system input takes its series and the text of its samples from a
+trajectory cache entry, or integrates and renders them once and stores them.
 """
 
 from __future__ import annotations
@@ -81,7 +86,7 @@ from .ranking import (
     partition_table,
 )
 from .returnmaps import frm_from_entries, maxima_frm
-from .series import FORMATS, SampleText, TimeSeries, check_dt, load_series, series_sha256
+from .series import FORMATS, SampleText, TimeSeries, check_dt, load_series, render_samples, series_sha256
 from .sources import (
     LorenzParams,
     MackeyGlassParams,
@@ -255,7 +260,8 @@ class _Run:
     level_network: dict | None = None
     embedding: EmbeddingConfig | None = None
     series: TimeSeries | None = None
-    text: SampleText | None = None  # the one SampleText of a run whose files all print the samples
+    # the one SampleText of a system input, from the trajectory cache, or of a pipeline over a series file
+    text: SampleText | None = None
 
     @cached_property
     def seq(self):
@@ -335,7 +341,7 @@ def _check(spec: dict) -> _Run:
 
 
 def _realize_input(run):
-    """Load or integrate the series named by the spec's input, pin its hash."""
+    """Load or integrate the series named by the spec's input, pin its hash; a system's run takes its text too."""
     spec = run.spec
     inp = spec["input"]
     if inp["kind"] == "file":
@@ -343,7 +349,7 @@ def _realize_input(run):
         inp["dt"] = series.dt
         digest = series_sha256(series)
     else:
-        series, digest = _trajectory(run)
+        series, digest, run.text = _trajectory(run)
     previous = spec.get("series_sha256")
     if previous is not None and previous != digest:
         raise ConfigError(
@@ -351,40 +357,44 @@ def _realize_input(run):
             f"(expected {previous[:12]}..., got {digest[:12]}...)"
         )
     spec["series_sha256"] = digest
-    return series
+    run.series = series
 
 
 def _trajectory(run):
-    """The kept tail and its series_sha256: read from the system's one trajectory cache entry if that
-    passes every check, else integrated and stored there. An unusable cache costs only the integration."""
+    """The kept tail, its series_sha256 and its SampleText: read from the system's one trajectory cache entry if
+    that passes every check, else integrated, rendered and stored there. An unusable cache costs only that work."""
     inp, sim, keep, key = run.spec["input"], run.sim, kept_points(run.sim), None
-    with suppress(OSError, RuntimeError, ValueError):  # ValueError: a damaged sample that is not finite
+    with suppress(OSError, RuntimeError, ValueError):  # ValueError: a damaged sample or text
         root = os.environ.get("XDG_CACHE_HOME", "")
         path = (Path(root) if os.path.isabs(root) else Path.home() / ".cache") / "ordmaps" / f"{inp['kind']}.f8"
         about = canonical_json({"input": inp, "numpy": np.__version__, "python": sys.version, "tool": TOOL_VERSION})
-        key = hashlib.sha256(about.encode() + Path(__file__).with_name("sources.py").read_bytes()).digest()
-        with open(path, "rb") as fh:  # a 64-byte header: the key, then the samples' series_sha256
-            head = fh.read(64)
-            if head[:32] == key and os.fstat(fh.fileno()).st_size == 64 + 8 * keep:
+        sources = [Path(__file__).with_name(name).read_bytes() for name in ("sources.py", "series.py")]
+        key = hashlib.sha256(b"".join([about.encode(), *sources])).digest()
+        # a 96-byte header (the key, the samples' series_sha256, the text's SHA-256), the samples, their text
+        with open(path, "rb") as fh:
+            head = fh.read(96)
+            if head[:32] == key and os.fstat(fh.fileno()).st_size > 96 + 8 * keep:
                 fh.readinto(samples := np.empty(keep, "<f8"))
                 series = TimeSeries(samples, sim.dt, origin_time=(sim.total_points - keep) * sim.dt)
-                if (digest := series_sha256(series)) == head[32:].hex():
-                    return series, digest
+                digest, data = series_sha256(series), fh.read()
+                if digest == head[32:64].hex() and hashlib.sha256(data).digest() == head[64:]:
+                    return series, digest, SampleText(series.samples, data)
     # built per call, so a name rebound on this module is the one called
     integrate = {"lorenz": integrate_lorenz, "rossler": integrate_rossler, "mackey-glass": integrate_mackey_glass}
     series = integrate[inp["kind"]](run.params, sim)
-    digest = series_sha256(series)
+    digest, data = series_sha256(series), render_samples(series.samples)
     if key is not None:
         temp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
         with suppress(OSError):
             try:
                 path.parent.mkdir(parents=True, exist_ok=True)
                 with open(temp, "wb") as fh:
-                    fh.writelines((key, bytes.fromhex(digest), np.ascontiguousarray(series.samples, "<f8")))
+                    samples = np.ascontiguousarray(series.samples, "<f8")
+                    fh.writelines((key, bytes.fromhex(digest), hashlib.sha256(data).digest(), samples, data))
                 os.replace(temp, path)
             finally:
                 temp.unlink(missing_ok=True)
-    return series, digest
+    return series, digest, SampleText(series.samples, data)
 
 
 # --------------------------------------------------------------- stages
@@ -479,19 +489,89 @@ _COMMANDS = {
 }
 
 
+class _Forked:
+    """One stage of a run in a forked child, which prints nothing: through a pipe it names each file before it
+    opens it, then tells how the stage ended. The parent adds the files to its writer and raises what it raised."""
+
+    def __init__(self, stage, run, writer: _RunWriter):
+        self.writer = writer
+        read, write = os.pipe()
+        self.pid = os.fork()
+        if self.pid:
+            os.close(write)
+            self.pipe = open(read, "rb")
+            return
+        status = 1
+        try:
+            os.close(read)
+            with open(write, "wb") as pipe:
+                emit = writer.emit
+
+                def announced(name, fn):
+                    pipe.write(b"F" + name.encode() + b"\n")
+                    pipe.flush()
+                    emit(name, fn)
+
+                writer.emit = announced
+                try:
+                    stage(run, writer)
+                    report, status = b"0", 0
+                except (OrdmapsError, OSError, MemoryError) as exc:
+                    report = b"E" + _message(exc).encode(errors="surrogateescape")
+                except BaseException:
+                    import traceback
+
+                    report = b"X" + traceback.format_exc().encode(errors="surrogateescape")
+                pipe.write(report)
+        finally:
+            os._exit(status)
+
+    def join(self, kill: bool = False) -> None:
+        """Wait for the child, or kill it first, unless done before; add the files it named to the writer;
+        raise what its stage raised."""
+        if self.pid is None:
+            return
+        if kill:
+            import signal
+
+            os.kill(self.pid, signal.SIGKILL)
+        data = self.pipe.read()  # until the child has ended
+        self.pipe.close()
+        _, status = os.waitpid(self.pid, 0)
+        self.pid = None
+        while data[:1] == b"F":
+            name, _, data = data[1:].partition(b"\n")
+            self.writer.written.append(self.writer.out_dir / name.decode())
+        if kill or data == b"0":
+            return
+        if data[:1] == b"E":
+            raise OrdmapsError(data[1:].decode(errors="surrogateescape"))
+        detail = data[1:].decode(errors="surrogateescape") or f"exit status {os.waitstatus_to_exitcode(status)}\n"
+        raise RuntimeError("a stage run in a child process failed:\n" + detail)
+
+
 def _execute(spec: dict, out_dir_arg) -> int:
     run = _check(spec)
-    run.series = _realize_input(run)
-    if spec["command"] == "pipeline":  # series.csv, embedded.csv and the maps print each sample
-        run.text = SampleText(run.series.samples)
+    _realize_input(run)
+    if spec["command"] == "pipeline" and run.text is None:  # a series file; its files print each sample
+        run.text = SampleText(run.series.samples, render_samples(run.series.samples))
     out_dir = Path(out_dir_arg) if out_dir_arg else Path("runs") / manifest_digest(spec)[:12]
     writer = _RunWriter(out_dir)
+    stages, child = _COMMANDS[spec["command"]][1], None
     try:
-        for stage in _COMMANDS[spec["command"]][1]:
+        if spec["command"] == "pipeline" and hasattr(os, "fork"):
+            run.seq, run.table, run.window_levels  # computed once, for both processes
+            *stages, last = stages
+            child = _Forked(last, run, writer)
+        for stage in stages:
             stage(run, writer)
+        if child is not None:
+            child.join()
         spec["outputs"] = sorted(p.name for p in writer.written)
         writer.emit("manifest.json", lambda p: write_manifest(spec, p))
     except BaseException:
+        if child is not None:
+            child.join(kill=True)
         writer.cleanup()
         raise
     print(out_dir)
@@ -590,9 +670,13 @@ def main(argv=None) -> int:
         else:
             spec = _spec_from_args(args)
         return _execute(spec, args.out_dir)
-    except (OrdmapsError, OSError, MemoryError) as exc:  # a bare MemoryError has no message
-        print(f"error: {exc}" if str(exc) else f"error: {type(exc).__name__}", file=sys.stderr)
+    except (OrdmapsError, OSError, MemoryError) as exc:
+        print(f"error: {_message(exc)}", file=sys.stderr)
         return 1
+
+
+def _message(exc: BaseException) -> str:
+    return str(exc) or type(exc).__name__  # a bare MemoryError has no message
 
 
 if __name__ == "__main__":

@@ -8,7 +8,8 @@ columns to int, so they read 0/1. Rows are rendered by
 :func:`ordmaps.series.write_rows`: chunked, one ``%`` per chunk, each
 distinct float formatted once per chunk. A writer of sample cells (series,
 embedding, return maps) copies them from its optional ``text``, the
-:class:`ordmaps.series.SampleText` that ``pipeline`` renders once. A writer
+:class:`ordmaps.series.SampleText` of a run's samples, rendered at most once
+per run. A writer
 that shows patterns indexes the column ``shown`` of a symbol sequence, the
 dash-joined text of each distinct pattern under the sequence's ranking,
 rendered once per sequence. The partition table and the network carry the

@@ -4,8 +4,9 @@ Ingestion is :func:`load_series`, which converts a file a batch of rows at a
 time with one ``float`` map per batch and reads a batch line by line only when
 it holds something other than bare numbers. Serialization includes
 :func:`write_rows`, the one CSV row renderer that :func:`dump_series` and
-every writer in :mod:`ordmaps.exports` share, and :class:`SampleText`, which
-``pipeline`` renders once to copy every sample cell of its files from it.
+every writer in :mod:`ordmaps.exports` share, and :class:`SampleText`, the
+text of every sample cell, which a run renders once (or reads from the CLI's
+trajectory cache) to copy the sample cells of its files from it.
 """
 
 from __future__ import annotations
@@ -202,18 +203,26 @@ def write_rows(fh, columns: list[np.ndarray]) -> None:
         fh.write(row * len(block) % tuple(block.ravel().tolist()))
 
 
-class SampleText:
-    """Every sample's cell as :func:`write_rows` renders it, rendered once for several files.
+def render_samples(samples: np.ndarray) -> bytes:
+    """Every sample's cell as :func:`write_rows` renders it, one newline-terminated line each, as ASCII bytes."""
+    chunks = (samples[lo : lo + CHUNK].tolist() for lo in range(0, len(samples), CHUNK))
+    return b"".join(("%.17g\n" * len(chunk) % tuple(chunk)).encode() for chunk in chunks)
 
-    ``text`` holds one newline-terminated line per sample, built CHUNK samples at a time,
-    and line k ends just before ``ends[k]``: no per-sample Python object is kept.
+
+class SampleText:
+    """Every sample's cell as :func:`write_rows` renders it, built from ``data``, the bytes of
+    :func:`render_samples`, and shared by several files.
+
+    ``text`` holds one newline-terminated line per sample, and line k ends just before ``ends[k]``:
+    no per-sample Python object is kept, and neither is ``data``.
     """
 
-    def __init__(self, samples: np.ndarray):
+    def __init__(self, samples: np.ndarray, data: bytes):
         self.samples = samples = np.asarray(samples, dtype=np.float64)
-        chunks = (samples[lo : lo + CHUNK].tolist() for lo in range(0, len(samples), CHUNK))
-        self.text = "".join("%.17g\n" * len(chunk) % tuple(chunk) for chunk in chunks)
-        self.ends = np.flatnonzero(np.frombuffer(self.text.encode(), np.uint8) == 10) + 1
+        self.ends = np.flatnonzero(np.frombuffer(data, np.uint8) == 10) + 1
+        if len(self.ends) != len(samples) or len(data) != (self.ends[-1] if len(samples) else 0):
+            raise ValueError(f"the sample text does not hold one line for each of {len(samples)} samples")
+        self.text = data.decode("ascii")
 
     def block(self, lo: int, hi: int) -> str:
         """The lines of samples lo to hi - 1."""

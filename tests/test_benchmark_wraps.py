@@ -65,13 +65,16 @@ def test_every_wrapped_name_resolves(module, attr, counter):
 
 
 def test_every_wrapped_file_writer_binds_path_on_a_live_run(tmp_path, monkeypatch):
-    """Each ``_count_file`` row, rebound as ``perfbench/layers.py`` rebinds it, sees the path of every CSV a run writes."""
+    """Each ``_count_file`` row, rebound as ``perfbench/layers.py`` rebinds it, sees the path of every CSV a run writes.
+
+    The names go to a file, since pipeline writes embedded.csv in a forked child."""
     cli = importlib.import_module("ordmaps.cli")
-    written = []
+    log = tmp_path / "written"
 
     def recorder(fn):
         def record(*args, **kwargs):
-            written.append(Path(inspect.signature(fn).bind(*args, **kwargs).arguments["path"]).name)
+            with open(log, "a") as fh:
+                fh.write(Path(inspect.signature(fn).bind(*args, **kwargs).arguments["path"]).name + "\n")
             return fn(*args, **kwargs)
         return record
 
@@ -82,4 +85,4 @@ def test_every_wrapped_file_writer_binds_path_on_a_live_run(tmp_path, monkeypatc
     out = tmp_path / "run"
     argv = ["pipeline", "lorenz", "--seed", "1", "--points", "20000", "--discard", "0.5", "--out-dir", str(out)]
     assert cli.main(argv) == 0
-    assert sorted(written) == sorted(path.name for path in out.glob("*.csv"))
+    assert sorted(log.read_text().splitlines()) == sorted(path.name for path in out.glob("*.csv"))

@@ -13,6 +13,7 @@ on x86-64 builds.
 
 import hashlib
 import json
+import os
 import random
 import re
 from pathlib import Path
@@ -192,6 +193,25 @@ def run_case(name: str, files: dict[str, Path], out: Path) -> str:
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_run_directory_bytes_are_pinned(name, inputs, tmp_path):
     assert run_case(name, inputs, tmp_path / name) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(name for name in CASES if name.startswith("pipeline")))
+def test_pipeline_writes_as_the_serial_stage_loop(name, inputs, tmp_path, monkeypatch, capsys):
+    """A pipeline writes embedded.csv in a forked child; where os.fork is missing its stages run one by one."""
+    outcomes = []
+    for side in ("forked", "serial"):
+        if side == "serial":
+            monkeypatch.delattr(os, "fork")
+        out = tmp_path / side / "run"
+        code = cli.main([str(inputs.get(a, a)) for a in CASES[name]] + ["--out-dir", str(out)])
+        captured = capsys.readouterr()
+        with pytest.raises(ChildProcessError):  # no child left
+            os.waitpid(-1, os.WNOHANG)
+        left = sorted(str(p.relative_to(tmp_path / side)) for p in (tmp_path / side).rglob("*"))
+        files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        outcomes.append((code, captured.out == f"{out}\n", captured.err, left, files))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][:3] == (0, True, "")
 
 
 @pytest.mark.parametrize("name", ["pipeline-file-lag", "pipeline-file-color-none"])

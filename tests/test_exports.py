@@ -8,7 +8,7 @@ import pytest
 
 import ordmaps as om
 from ordmaps import exports, manifest
-from ordmaps.series import CHUNK, SampleText, write_rows
+from ordmaps.series import CHUNK, SampleText, render_samples, write_rows
 
 from oracles import csv_text, series_text
 
@@ -307,10 +307,14 @@ def test_renderer_memory_does_not_grow_with_rows(tmp_path, writer):
 # ---- SampleText: each sample rendered once, its cells copied into several files
 
 
+def _text(samples):
+    return SampleText(samples, render_samples(samples))
+
+
 @pytest.mark.parametrize("rows", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5])
 def test_sample_text_matches_per_cell_oracle_and_write_rows(rows):
     samples = _floats(np.random.default_rng(rows), rows)
-    text = SampleText(samples)
+    text = _text(samples)
     rendered = io.StringIO()
     write_rows(rendered, [samples])
     lines = csv_text(["x"], [samples]).splitlines(keepends=True)[1:]
@@ -325,7 +329,7 @@ def test_sample_text_matches_per_cell_oracle_and_write_rows(rows):
 
 def test_sample_text_refuses_other_samples(tmp_path):
     samples = np.array([0.0, 1.0, 2.0, 3.0, 4.0])
-    text = SampleText(samples)
+    text = _text(samples)
     flipped = samples.copy()
     flipped[0] = -0.0  # equal under ==, but its cell reads -0
     with pytest.raises(ValueError, match="rendered from other samples"):
@@ -344,7 +348,7 @@ def test_write_series_csv_through_sample_text(tmp_path):
     for rows in (2, CHUNK + 1):
         samples = _floats(np.random.default_rng(rows), rows)
         series = om.TimeSeries(samples, dt=0.1)
-        exports.write_series_csv(series, tmp_path / "text.csv", text=SampleText(samples))
+        exports.write_series_csv(series, tmp_path / "text.csv", text=_text(samples))
         exports.write_series_csv(series, tmp_path / "rows.csv")
         assert (tmp_path / "text.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
         assert (tmp_path / "text.csv").read_bytes() == series_text(samples, 0.1).encode()
@@ -372,7 +376,7 @@ def test_write_embedding_csv_through_sample_text(tmp_path, dim, lag, colour):
         is_entry = np.zeros(len(points), dtype=np.int64)
         is_entry[starts] = seq.entries[inside]
         header, columns = header + ["pattern", "level", "is_entry"], columns + [pattern, level, is_entry]
-    exports.write_embedding_csv(points, tmp_path / "text.csv", *extra, text=SampleText(samples))
+    exports.write_embedding_csv(points, tmp_path / "text.csv", *extra, text=_text(samples))
     exports.write_embedding_csv(points, tmp_path / "rows.csv", *extra)
     assert (tmp_path / "text.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
     assert (tmp_path / "text.csv").read_bytes() == csv_text(header, columns).encode()
@@ -384,7 +388,7 @@ def test_write_frm_files_through_sample_text(tmp_path, sign_split):
     series = om.TimeSeries(samples, dt=1.0)
     maxima = om.maxima_frm(series, sign_split=sign_split)
     picked = om.frm_from_entries(series, np.arange(0, len(samples), 97), source="partition:1-2-3")
-    text = SampleText(samples)
+    text = _text(samples)
     for rm in (maxima, picked):
         exports.write_frm_csv(rm, tmp_path / "text.csv", text=text)
         exports.write_frm_csv(rm, tmp_path / "rows.csv")
@@ -401,12 +405,22 @@ def test_write_frm_files_through_sample_text(tmp_path, sign_split):
     assert (tmp_path / "text.csv").read_bytes() == csv_text(["v", "v_next", "source"], columns).encode()
 
 
+def test_sample_text_refuses_data_that_is_not_one_line_per_sample():
+    samples = np.array([0.5, -0.0, 3.0])
+    data = render_samples(samples)
+    for bad in (data[:-1], data + b"1", data + b"1\n", b"", data.replace(b"3", b"\xb3")):
+        with pytest.raises(ValueError):
+            SampleText(samples, bad)
+    assert SampleText(samples[:0], b"").text == ""
+
+
 def test_sample_text_keeps_its_string_and_eight_bytes_per_sample():
     samples = np.random.default_rng(0).normal(size=400_000)
-    SampleText(samples[:1000])  # warm-up
+    _text(samples[:1000])  # warm-up
+    data = render_samples(samples)
     tracemalloc.start()
     try:
-        text = SampleText(samples)
+        text = SampleText(samples, data)
         kept = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()

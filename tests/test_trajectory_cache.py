@@ -1,6 +1,8 @@
-"""The CLI's trajectory cache: a verified entry replaces the integration,
-anything else re-integrates, and no run can tell the two apart."""
+"""The CLI's trajectory cache: a verified entry replaces the integration and
+the rendering of the samples, anything else re-integrates, and no run can
+tell the two apart."""
 
+import hashlib
 import json
 import os
 from pathlib import Path
@@ -8,9 +10,11 @@ from pathlib import Path
 import pytest
 
 import ordmaps as om
-from ordmaps import cli
+from ordmaps import cli, series
 
 SIM = ["--seed", 1, "--points", 20000, "--discard", 0.5]
+KEEP = om.kept_points(om.SimulationConfig(seed=1, total_points=20000, discard_fraction=0.5))
+HEADER = 96  # the key, the samples' series_sha256, the text's SHA-256
 
 
 def _run(argv):
@@ -46,11 +50,26 @@ def cold(tmp_path, trajectory_cache, integrations, capsys):
 
 def test_a_hit_integrates_nothing_and_writes_the_same_bytes(cold, tmp_path, integrations, capsys):
     files, entry = cold
-    keep = om.kept_points(om.SimulationConfig(seed=1, total_points=20000, discard_fraction=0.5))
-    assert len(entry) == 64 + 8 * keep
+    text = files["series.csv"].split(b"\n", 2)[2]  # the lines after the dt comment and the column name
+    assert len(entry) == HEADER + 8 * KEEP + len(text) and entry[HEADER + 8 * KEEP :] == text
+    assert hashlib.sha256(text).digest() == entry[64:HEADER]
     assert _run(["pipeline", "lorenz", *SIM, "--out-dir", tmp_path / "warm"]) == 0
     assert len(integrations) == 1 and capsys.readouterr().err == ""
     assert _files(tmp_path / "warm") == files
+
+
+def _refuse(*args):
+    raise AssertionError("rendered the samples")
+
+
+@pytest.mark.parametrize("command", ["pipeline", "generate"])
+def test_a_hit_renders_no_sample(command, tmp_path, integrations, monkeypatch, capsys):
+    assert _run([command, "lorenz", *SIM, "--out-dir", tmp_path / "cold"]) == 0
+    monkeypatch.setattr(cli, "render_samples", _refuse)
+    monkeypatch.setattr(series, "write_rows", _refuse)  # what dump_series renders with when it has no text
+    assert _run([command, "lorenz", *SIM, "--out-dir", tmp_path / "warm"]) == 0
+    assert len(integrations) == 1 and capsys.readouterr().err == ""
+    assert _files(tmp_path / "warm") == _files(tmp_path / "cold")
 
 
 def _flip(at):
@@ -60,10 +79,16 @@ def _flip(at):
 DAMAGE = {
     "wrong key": _flip(0),
     "wrong stored digest": _flip(40),
-    "truncated": lambda data: data[:-1],
-    "one sample byte flipped": _flip(64 + 8 * 123 + 3),
+    "wrong stored text digest": _flip(72),
+    "truncated": lambda data: data[: HEADER + 8 * 123],  # within the samples
+    "one sample byte flipped": _flip(HEADER + 8 * 123 + 3),
     # a sample whose exponent bits are all set, so it is no longer finite
-    "sample not finite": lambda data: data[: 64 + 6] + b"\xf8\x7f" + data[64 + 8 :],
+    "sample not finite": lambda data: data[: HEADER + 6] + b"\xf8\x7f" + data[HEADER + 8 :],
+    # a digit of the last line turned into another digit: still one line per sample
+    "one text byte flipped": lambda data: _flip(len(data) - 3)(data),
+    "truncated text": lambda data: data[:-1],
+    # the layout before the text was kept, under today's key: the key and the digest, then the samples
+    "entry without its text": lambda data: data[:64] + data[HEADER : HEADER + 8 * KEEP],
 }
 
 
