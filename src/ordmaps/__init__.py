@@ -19,15 +19,10 @@ from .encoding import (
     OrdinalPattern,
     SymbolSequence,
     WindowConfig,
-    amplitude_to_chron,
-    canonical_pattern,
-    chron_to_amplitude,
     decode_pattern,
-    display_pattern,
     distinct_patterns,
     entry_mask,
     pattern_code,
-    pattern_of_window,
     symbolize,
     window_count,
 )
@@ -111,18 +106,14 @@ __all__ = [
     "TooShortError",
     "TransitionCounts",
     "WindowConfig",
-    "amplitude_to_chron",
     "build_level_network",
     "build_opn",
-    "canonical_pattern",
-    "chron_to_amplitude",
     "decode_pattern",
     "delay_embed",
     "delay_steps",
     "detect_levels",
     "diagonal_split",
     "wing_split",
-    "display_pattern",
     "distinct_patterns",
     "dump_series",
     "entry_level_sequence",
@@ -141,7 +132,6 @@ __all__ = [
     "occupancy",
     "partition_table",
     "pattern_code",
-    "pattern_of_window",
     "permutation_entropy",
     "series_sha256",
     "symbolize",

@@ -58,7 +58,6 @@ from .encoding import (
     RANKINGS,
     OrdinalPattern,
     WindowConfig,
-    canonical_pattern,
     symbolize,
 )
 from .errors import ConfigError, EmptyMapError, OrdmapsError
@@ -82,7 +81,6 @@ from .network import build_opn
 from .ranking import (
     LevelConfig,
     SubSeriesConfig,
-    entry_points,
     partition_table,
 )
 from .returnmaps import frm_from_entries, maxima_frm
@@ -418,9 +416,12 @@ def _partition_maps(run):
     """The maps of the frm section's patterns, or of every partition at its level."""
     seq, maps = run.seq, []
     if run.frm["mode"] == "pattern":
-        for shown in run.patterns:
-            entries = entry_points(seq, canonical_pattern(shown, run.window.ranking))
-            maps.append(frm_from_entries(run.series, entries, source=f"partition:{shown.dashed()}"))
+        for text in (shown.dashed() for shown in run.patterns):
+            # the windows entering the one row shown as text, none if no row is: no pattern is decoded
+            entries = np.flatnonzero((seq.shown == text)[seq.inverse] & seq.entries) * run.window.w
+            if (count := len(entries)) < 2:
+                raise EmptyMapError(f"pattern {text} has {count} of the 2 entry points a map needs", count=count)
+            maps.append(frm_from_entries(run.series, entries, source=f"partition:{text}"))
         return maps
     table = run.table
     # fewer than 2 entries cannot form a pair; such a partition is recorded by absence

@@ -16,7 +16,7 @@ Two equivalent ranking schemes are supported:
 Ties are broken by treating the earlier index as the smaller value.
 Patterns are stored canonically in chronological form (one hashable key
 per partition regardless of display scheme); the amplitude rendering is
-derived on demand via :func:`chron_to_amplitude`.
+derived for every distinct pattern at once, as :attr:`SymbolSequence.shown`.
 
 Every window is a row of :func:`window_view`, one read-only view of the
 samples. :func:`encode_windows` ranks such rows ``BLOCK // 4`` at a time into
@@ -83,27 +83,6 @@ class OrdinalPattern:
 def _amplitude_rows(rows: np.ndarray) -> np.ndarray:
     """Amplitude rendering of chronological rows: position j of ascending rank r_j shows rank m + 1 - r_j."""
     return rows.shape[1] - rows.argsort(axis=1)
-
-
-def chron_to_amplitude(pattern: OrdinalPattern) -> OrdinalPattern:
-    """Amplitude rendering of a chronological pattern."""
-    return OrdinalPattern(_amplitude_rows(np.asarray([pattern.perm]))[0])
-
-
-def amplitude_to_chron(pattern: OrdinalPattern) -> OrdinalPattern:
-    """Inverse of :func:`chron_to_amplitude`: the positions from amplitude rank m up to rank 1."""
-    return OrdinalPattern(np.argsort(np.negative(pattern.perm)) + 1)
-
-
-def pattern_of_window(values, ranking: str = "chronological") -> OrdinalPattern:
-    """Ordinal pattern of a single window under the requested ranking."""
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim != 1 or arr.size < 2:
-        raise ValueError(f"window must be a 1-d sequence of length >= 2, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("window contains non-finite values")
-    # stable ascending argsort implements the earlier-index-is-smaller tie rule
-    return display_pattern(OrdinalPattern(np.argsort(arr, kind="stable") + 1), ranking)
 
 
 @dataclass(frozen=True)
@@ -301,20 +280,3 @@ def symbolize(series: TimeSeries, cfg: WindowConfig | None = None) -> SymbolSequ
 def distinct_patterns(seq: SymbolSequence) -> list[tuple[OrdinalPattern, int]]:
     """Occurring patterns with their window counts, in lexicographic order."""
     return list(zip(seq.patterns, np.bincount(seq.inverse).tolist()))
-
-
-def _convert(pattern: OrdinalPattern, ranking: str, amplitude) -> OrdinalPattern:
-    """The pattern itself under the chronological ranking, ``amplitude(pattern)`` under the amplitude one."""
-    if ranking not in RANKINGS:
-        raise ValueError(f"ranking must be one of {RANKINGS}, got {ranking!r}")
-    return pattern if ranking == "chronological" else amplitude(pattern)
-
-
-def display_pattern(pattern: OrdinalPattern, ranking: str) -> OrdinalPattern:
-    """Render a canonical (chronological) pattern under the given scheme."""
-    return _convert(pattern, ranking, chron_to_amplitude)
-
-
-def canonical_pattern(pattern: OrdinalPattern, ranking: str) -> OrdinalPattern:
-    """Map a user-facing pattern in the given scheme to canonical form."""
-    return _convert(pattern, ranking, amplitude_to_chron)

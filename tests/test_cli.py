@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import itertools
 import json
 import os
 import subprocess
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 import ordmaps as om
+import oracles
 from ordmaps import cli, encoding, manifest, sources
 
 
@@ -162,19 +164,58 @@ def test_failure_removes_every_directory_the_run_made(tmp_path, capsys):
     assert not (tmp_path / "a").exists()
 
 
-def test_analyze_builds_no_object_per_partition(noise_file, tmp_path, monkeypatch):
-    built = []
-    init = encoding.OrdinalPattern.__init__
+@pytest.fixture()
+def built(monkeypatch):
+    """The name of each OrdinalPattern built while the test runs."""
+    built, init = [], encoding.OrdinalPattern.__init__
 
     def counted(self, *args, **kwargs):
         built.append(type(self).__name__)
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(encoding.OrdinalPattern, "__init__", counted)
+    return built
+
+
+def test_analyze_builds_no_object_per_partition(noise_file, tmp_path, built):
     rc = _run(["analyze", noise_file, "--m", 7, "--tau", 1, "--out-dir", tmp_path / "out"])
     assert rc == 0
     assert len((tmp_path / "out" / "partitions.csv").read_text().splitlines()) > 1000
     assert built == []
+
+
+@pytest.mark.parametrize("ranking", encoding.RANKINGS)
+def test_frm_pattern_builds_only_the_patterns_it_parsed(ranking, noise_file, tmp_path, built):
+    out = tmp_path / "out"
+    rc = _run(["frm", noise_file, "--pattern", "1-2-3-4", "--pattern", "4-3-2-1", "--ranking", ranking, "--out-dir", out])
+    assert rc == 0
+    assert (out / "frm_partition_1-2-3-4.csv").exists() and (out / "frm_partition_4-3-2-1.csv").exists()
+    assert built == ["OrdinalPattern"] * 2
+
+
+@pytest.mark.parametrize("m", range(2, 12))
+def test_pattern_rows_pick_the_entries_of_their_canonical_pattern(m, monkeypatch):
+    picked = []
+    monkeypatch.setattr(cli, "frm_from_entries", lambda series, entries, source: picked.append(entries.tolist()))
+    noise = om.TimeSeries(np.random.default_rng(m).integers(0, 4, size=2000).astype(float), dt=1.0)  # tie-prone
+    ramp = om.TimeSeries(np.arange(40.0), dt=1.0)  # one pattern, so its reverse is absent
+    for ranking, w in itertools.product(encoding.RANKINGS, (1, 3)):
+        window = om.WindowConfig(m=m, tau=1, w=w, ranking=ranking)
+        noisy, ramped = (cli._Run({}, window=window, frm={"mode": "pattern"}, series=s) for s in (noise, ramp))
+        rows = noisy.seq.shown.tolist()
+        absent = "-".join(reversed(ramped.seq.shown[0].split("-")))
+        for run, text in [*((noisy, t) for t in rows), (noisy, "0" + rows[0]), (ramped, absent)]:
+            shown = om.OrdinalPattern.from_dashed(text)
+            canonical = oracles.amplitude_to_chron(shown.perm) if ranking == "amplitude" else shown.perm
+            want = om.entry_points(run.seq, om.OrdinalPattern(canonical)).tolist()
+            run.patterns, picked[:] = [shown], []
+            try:
+                cli._partition_maps(run)
+            except om.EmptyMapError as exc:  # fewer than 2 entries: the error says how many
+                picked.append(exc.count)
+                want = len(want)
+            assert picked == [want], (ranking, w, text)
+        assert picked == [0]  # the absent pattern picks no entries
 
 
 # argv, then how often it may call symbolize and partition_table
@@ -299,7 +340,13 @@ def test_frm_absent_pattern_fails_clean(tmp_path, capsys):
     out = tmp_path / "frm"
     rc = _run(["frm", path, "--pattern", "2-1", "--m", 2, "--tau", 1, "--out-dir", out])
     assert rc == 1
-    assert "at least 2 entry points" in capsys.readouterr().err
+    assert "pattern 2-1 has 0 of the 2 entry points a map needs" in capsys.readouterr().err
+    assert not out.exists()
+    ramps = tmp_path / "ramps.csv"  # 0..19 twice: 1-2 enters twice, 2-1 once
+    om.dump_series(om.TimeSeries(np.tile(np.arange(20.0), 2), dt=1.0), ramps)
+    rc = _run(["frm", ramps, "--m", 2, "--tau", 1, "--pattern", "1-2", "--pattern", "2-1", "--out-dir", out])
+    assert rc == 1
+    assert "pattern 2-1 has 1 of the 2 entry points a map needs" in capsys.readouterr().err
     assert not out.exists()
 
 

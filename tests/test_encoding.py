@@ -20,22 +20,43 @@ CATALOG_M3 = [
 ]
 
 
+def _dashed(perm):
+    return "-".join(map(str, perm))
+
+
+def _perm(text):
+    return om.OrdinalPattern.from_dashed(text).perm
+
+
+def _shown(codes, m, ranking):
+    """``shown`` of a sequence whose windows carry the given keys, under the given ranking."""
+    return om.SymbolSequence(np.asarray(codes, dtype=np.int64), om.WindowConfig(m=m, ranking=ranking)).shown.tolist()
+
+
+def _shown_per_window(values, m, ranking):
+    """The shown text of each window of m consecutive samples, windows sliding by m."""
+    seq = om.symbolize(om.TimeSeries(np.asarray(values, dtype=float), dt=1.0), om.WindowConfig(m=m, tau=1, w=m, ranking=ranking))
+    return seq.shown[seq.inverse].tolist()
+
+
 def test_catalog_m3_both_directions():
+    # window k holds the amplitude ranks of pair k as values, rank 1 the highest
+    values = [4 - r for amp, _ in CATALOG_M3 for r in amp]
+    assert _shown_per_window(values, 3, "amplitude") == [_dashed(amp) for amp, _ in CATALOG_M3]
+    assert _shown_per_window(values, 3, "chronological") == [_dashed(chron) for _, chron in CATALOG_M3]
     for amp, chron in CATALOG_M3:
-        a = om.OrdinalPattern(amp)
-        c = om.OrdinalPattern(chron)
-        assert om.chron_to_amplitude(c) == a
-        assert om.amplitude_to_chron(a) == c
+        assert oracles.chron_to_amplitude(chron) == amp
+        assert oracles.amplitude_to_chron(amp) == chron
 
 
 def test_ranking_conversion_round_trip():
     rng = np.random.default_rng(7)
     for m in range(2, 9):
-        for _ in range(20):
-            perm = tuple(int(v) for v in rng.permutation(m) + 1)
-            p = om.OrdinalPattern(perm)
-            assert om.amplitude_to_chron(om.chron_to_amplitude(p)) == p
-            assert om.chron_to_amplitude(om.amplitude_to_chron(p)) == p
+        perms = [tuple(int(v) for v in rng.permutation(m) + 1) for _ in range(20)]
+        codes = sorted({oracles.encode(perm, m) for perm in perms})
+        # each amplitude row converts back to its own key, and the chronological row is the key's digits
+        assert [oracles.encode(oracles.amplitude_to_chron(_perm(t)), m) for t in _shown(codes, m, "amplitude")] == codes
+        assert [oracles.encode(_perm(t), m) for t in _shown(codes, m, "chronological")] == codes
 
 
 def _perms_to_check():
@@ -49,28 +70,32 @@ def _perms_to_check():
 
 
 def test_one_row_codec_matches_loop_oracles():
+    by_m = {}
     for perm in _perms_to_check():
-        m, p = len(perm), om.OrdinalPattern(perm)
-        assert om.chron_to_amplitude(p).perm == oracles.chron_to_amplitude(perm)
-        assert om.amplitude_to_chron(p).perm == oracles.amplitude_to_chron(perm)
+        m = len(perm)
         code = oracles.encode(perm, m)
         assert om.decode_pattern(code, m).perm == oracles.decode(code, m) == perm
+        by_m.setdefault(m, set()).add(code)
+    for m, codes in by_m.items():
+        codes = sorted(codes)
+        chron = [oracles.decode(code, m) for code in codes]
+        assert _shown(codes, m, "chronological") == [_dashed(perm) for perm in chron]
+        amplitude = _shown(codes, m, "amplitude")
+        assert amplitude == [_dashed(oracles.chron_to_amplitude(perm)) for perm in chron]
+        assert [oracles.amplitude_to_chron(_perm(text)) for text in amplitude] == chron
 
 
 def test_pattern_of_window_matches_oracle_exhaustively():
     for m in (2, 3, 4):
-        for window in itertools.product((1.0, 2.0, 3.0), repeat=m):
-            arr = np.asarray(window)
-            got_c = om.pattern_of_window(arr, "chronological")
-            got_a = om.pattern_of_window(arr, "amplitude")
-            assert got_c.perm == oracles.chronological(window)
-            assert got_a.perm == oracles.amplitude(window)
+        windows = list(itertools.product((1.0, 2.0, 3.0), repeat=m))
+        values = [v for window in windows for v in window]
+        assert _shown_per_window(values, m, "chronological") == [_dashed(oracles.chronological(w)) for w in windows]
+        assert _shown_per_window(values, m, "amplitude") == [_dashed(oracles.amplitude(w)) for w in windows]
 
 
 def test_tie_earlier_sample_ranks_smaller():
-    arr = np.array([5.0, 5.0])
-    assert om.pattern_of_window(arr, "chronological").perm == (1, 2)
-    assert om.pattern_of_window(arr, "amplitude").perm == (2, 1)
+    assert _shown_per_window([5.0, 5.0], 2, "chronological") == ["1-2"]
+    assert _shown_per_window([5.0, 5.0], 2, "amplitude") == ["2-1"]
 
 
 def test_pattern_validation():
@@ -230,10 +255,10 @@ def test_canonical_storage_independent_of_display_ranking():
     amp = om.symbolize(ts, om.WindowConfig(m=3, tau=2, ranking="amplitude"))
     assert chron.codes.tolist() == amp.codes.tolist()
     # display differs, canonical does not
-    p = chron.patterns[chron.inverse[0]]
-    assert om.display_pattern(p, "amplitude") == om.chron_to_amplitude(p)
-    assert om.display_pattern(p, "chronological") == p
-    assert om.canonical_pattern(p, "amplitude") == om.amplitude_to_chron(p)
+    assert chron.patterns == amp.patterns
+    assert chron.shown.tolist() == [p.dashed() for p in chron.patterns]
+    assert amp.shown.tolist() == [_dashed(oracles.chron_to_amplitude(p.perm)) for p in chron.patterns]
+    assert amp.shown.tolist() != chron.shown.tolist()
 
 
 def test_too_short_series_is_rejected():
@@ -256,7 +281,8 @@ def test_shown_matches_per_pattern_display(m):
     for tau, w in ((1, 1), (2, 3)):
         for ranking in om.encoding.RANKINGS:
             seq = om.symbolize(om.TimeSeries(values, dt=1.0), om.WindowConfig(m=m, tau=tau, w=w, ranking=ranking))
-            assert seq.shown.tolist() == [om.display_pattern(p, ranking).dashed() for p in seq.patterns]
+            show = oracles.chron_to_amplitude if ranking == "amplitude" else tuple
+            assert seq.shown.tolist() == [_dashed(show(p.perm)) for p in seq.patterns]
 
 
 @pytest.mark.parametrize("m", range(2, 8))
