@@ -25,11 +25,12 @@ in ``runs/<manifest digest prefix>/``. Any bad input ends with one
 A command is a tuple of stages, each writing one group of files; pipeline runs
 those of generate, analyze, levels and embed, plus its own map stage. A run
 computes each part of its analysis when a stage first reads it, and only then.
-A pipeline computes its whole analysis first and then forks: a child runs the
-embed stage, reporting its files and its outcome through a pipe, while the
-parent runs the others; where ``os.fork`` is missing the stages run in turn.
-A run on a system input takes its series and the text of its samples from a
-trajectory cache entry, or integrates and renders them once and stores them.
+analyze computes the grouping of its windows, and pipeline its whole analysis,
+first and then forks: a child runs the last stage, reporting its files and its
+outcome through a pipe, while the parent runs the others; where ``os.fork`` is
+missing the stages run in turn. A run takes its series, and the text of its
+samples if it writes series.csv, from an input cache entry, or loads or
+integrates, renders and stores them once.
 """
 
 from __future__ import annotations
@@ -93,7 +94,6 @@ from .sources import (
     integrate_lorenz,
     integrate_mackey_glass,
     integrate_rossler,
-    kept_points,
 )
 
 SYSTEMS = ("lorenz", "rossler", "mackey-glass")
@@ -258,7 +258,7 @@ class _Run:
     level_network: dict | None = None
     embedding: EmbeddingConfig | None = None
     series: TimeSeries | None = None
-    # the one SampleText of a system input, from the trajectory cache, or of a pipeline over a series file
+    # the one SampleText of a run that writes series.csv, from the input cache
     text: SampleText | None = None
 
     @cached_property
@@ -339,15 +339,11 @@ def _check(spec: dict) -> _Run:
 
 
 def _realize_input(run):
-    """Load or integrate the series named by the spec's input, pin its hash; a system's run takes its text too."""
+    """Take the series named by the spec's input from the input cache, pin its hash and record a file's dt."""
     spec = run.spec
-    inp = spec["input"]
-    if inp["kind"] == "file":
-        series = load_series(inp["path"], inp["format"], inp["dt"])
-        inp["dt"] = series.dt
-        digest = series_sha256(series)
-    else:
-        series, digest, run.text = _trajectory(run)
+    series, digest, run.text = _trajectory(run)
+    if spec["input"]["kind"] == "file":
+        spec["input"]["dt"] = series.dt
     previous = spec.get("series_sha256")
     if previous is not None and previous != digest:
         raise ConfigError(
@@ -358,28 +354,48 @@ def _realize_input(run):
     run.series = series
 
 
+def _input_key(inp) -> bytes:
+    """What an input's series depends on: the input but a file's path, the versions, the code that makes it,
+    and a file's bytes, so the same bytes elsewhere are the same series."""
+    about = {"input": {k: v for k, v in inp.items() if k != "path"}, "numpy": np.__version__, "python": sys.version}
+    key = hashlib.sha256(canonical_json({**about, "tool": TOOL_VERSION}).encode())
+    for name in ("sources.py", "series.py"):
+        key.update(Path(__file__).with_name(name).read_bytes())
+    if inp["kind"] == "file":
+        with open(inp["path"], "rb") as fh:
+            while block := fh.read(1 << 20):
+                key.update(block)
+    return key.digest()[:16]
+
+
 def _trajectory(run):
-    """The kept tail, its series_sha256 and its SampleText: read from the system's one trajectory cache entry if
-    that passes every check, else integrated, rendered and stored there. An unusable cache costs only that work."""
-    inp, sim, keep, key = run.spec["input"], run.sim, kept_points(run.sim), None
-    with suppress(OSError, RuntimeError, ValueError):  # ValueError: a damaged sample or text
+    """The input's series, its series_sha256 and, for a run that writes series.csv, its SampleText: read from the
+    input kind's one cache entry if that passes every check, else loaded or integrated, rendered and stored there.
+    An unusable cache costs only that work."""
+    inp, sim, key = run.spec["input"], run.sim, None
+    text = _series_file in _COMMANDS[run.spec["command"]][1]
+    with suppress(OSError, RuntimeError, ValueError):  # ValueError: a damaged header, sample or text
         root = os.environ.get("XDG_CACHE_HOME", "")
         path = (Path(root) if os.path.isabs(root) else Path.home() / ".cache") / "ordmaps" / f"{inp['kind']}.f8"
-        about = canonical_json({"input": inp, "numpy": np.__version__, "python": sys.version, "tool": TOOL_VERSION})
-        sources = [Path(__file__).with_name(name).read_bytes() for name in ("sources.py", "series.py")]
-        key = hashlib.sha256(b"".join([about.encode(), *sources])).digest()
-        # a 96-byte header (the key, the samples' series_sha256, the text's SHA-256), the samples, their text
+        key = _input_key(inp)  # before a file's own dt is recorded
+        # a 96-byte header (16-byte key, sample count, dt, series_sha256, the text's SHA-256), the samples, the text
         with open(path, "rb") as fh:
             head = fh.read(96)
-            if head[:32] == key and os.fstat(fh.fileno()).st_size > 96 + 8 * keep:
-                fh.readinto(samples := np.empty(keep, "<f8"))
-                series = TimeSeries(samples, sim.dt, origin_time=(sim.total_points - keep) * sim.dt)
-                digest, data = series_sha256(series), fh.read()
-                if digest == head[32:64].hex() and hashlib.sha256(data).digest() == head[64:]:
-                    return series, digest, SampleText(series.samples, data)
-    # built per call, so a name rebound on this module is the one called
-    integrate = {"lorenz": integrate_lorenz, "rossler": integrate_rossler, "mackey-glass": integrate_mackey_glass}
-    series = integrate[inp["kind"]](run.params, sim)
+            count = int.from_bytes(head[16:24], "little")
+            if head[:16] == key and os.fstat(fh.fileno()).st_size > 96 + 8 * count:
+                fh.readinto(samples := np.empty(count, "<f8"))
+                dt = np.frombuffer(head, "<f8", 1, 24).item()
+                series = TimeSeries(samples, dt, origin_time=0.0 if sim is None else (sim.total_points - count) * dt)
+                if (digest := series_sha256(series)) == head[32:64].hex():
+                    if not text:
+                        return series, digest, None
+                    if hashlib.sha256(data := fh.read()).digest() == head[64:]:
+                        return series, digest, SampleText(series.samples, data)
+    if inp["kind"] == "file":
+        series = load_series(inp["path"], inp["format"], inp["dt"])
+    else:  # built per call, so a name rebound on this module is the one called
+        integrate = {"lorenz": integrate_lorenz, "rossler": integrate_rossler, "mackey-glass": integrate_mackey_glass}
+        series = integrate[inp["kind"]](run.params, sim)
     digest, data = series_sha256(series), render_samples(series.samples)
     if key is not None:
         temp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
@@ -388,11 +404,13 @@ def _trajectory(run):
                 path.parent.mkdir(parents=True, exist_ok=True)
                 with open(temp, "wb") as fh:
                     samples = np.ascontiguousarray(series.samples, "<f8")
-                    fh.writelines((key, bytes.fromhex(digest), hashlib.sha256(data).digest(), samples, data))
-                os.replace(temp, path)
+                    meta = len(samples).to_bytes(8, "little"), np.array([series.dt], "<f8")
+                    fh.writelines((key, *meta, bytes.fromhex(digest), hashlib.sha256(data).digest(), samples, data))
+                if _input_key(inp) == key:  # a file rewritten while it was loaded is not stored
+                    os.replace(temp, path)
             finally:
                 temp.unlink(missing_ok=True)
-    return series, digest, SampleText(series.samples, data)
+    return series, digest, SampleText(series.samples, data) if text else None
 
 
 # --------------------------------------------------------------- stages
@@ -402,12 +420,16 @@ def _series_file(run, writer):
     writer.emit("series.csv", lambda p: write_series_csv(run.series, p, text=run.text))
 
 
-def _analysis_files(run, writer):
-    seq, table = run.seq, run.table
-    tc = build_opn(seq)
-    writer.emit("symbols.csv", lambda p: write_symbols_csv(seq, p))
+def _partition_files(run, writer):
+    table = run.table
     writer.emit("partitions.csv", lambda p: write_partitions_csv(table, p))
     writer.emit("entropy_curve.csv", lambda p: write_entropy_curve_csv(table, p))
+
+
+def _sequence_files(run, writer):
+    seq = run.seq
+    tc = build_opn(seq)
+    writer.emit("symbols.csv", lambda p: write_symbols_csv(seq, p))
     writer.emit("opn_edges.csv", lambda p: write_opn_edges_csv(tc, p))
     writer.emit("opn_nodes.csv", lambda p: write_opn_nodes_csv(seq, p))
 
@@ -475,17 +497,20 @@ def _embedding_file(run, writer):
     writer.emit("embedded.csv", lambda p: write_embedding_csv(points, p, *colour, text=run.text))
 
 
-# per command: the run spec sections it can hold besides command, version and input
-# (_reads says which it reads), and the stages that write its files, in order
+# per command: the run spec sections it can hold besides command, version and input (_reads says which it
+# reads); the stages that write its files, in order; and, for a command whose last stage runs in a forked child,
+# the parts of the run both processes read, computed once before the fork
 _COMMANDS = {
-    "generate": ((), (_series_file,)),
-    "analyze": ((*_ANALYSIS,), (_analysis_files,)),
-    "frm": ((*_ANALYSIS, "frm"), (_frm_files,)),
-    "levels": ((*_ANALYSIS, "level_network"), (_level_files,)),
-    "embed": ((*_ANALYSIS, "level_network", "embedding"), (_embedding_file,)),
+    "generate": ((), (_series_file,), None),
+    "analyze": ((*_ANALYSIS,), (_partition_files, _sequence_files),
+                lambda run: (run.seq.inverse, run.seq.shown, run.seq.entries)),
+    "frm": ((*_ANALYSIS, "frm"), (_frm_files,), None),
+    "levels": ((*_ANALYSIS, "level_network"), (_level_files,), None),
+    "embed": ((*_ANALYSIS, "level_network", "embedding"), (_embedding_file,), None),
     "pipeline": (
         (*_ANALYSIS, "frm", "level_network", "embedding"),
-        (_series_file, _analysis_files, _pipeline_maps, _level_files, _embedding_file),
+        (_series_file, _partition_files, _sequence_files, _pipeline_maps, _level_files, _embedding_file),
+        lambda run: (run.seq, run.table, run.window_levels),
     ),
 }
 
@@ -554,14 +579,12 @@ class _Forked:
 def _execute(spec: dict, out_dir_arg) -> int:
     run = _check(spec)
     _realize_input(run)
-    if spec["command"] == "pipeline" and run.text is None:  # a series file; its files print each sample
-        run.text = SampleText(run.series.samples, render_samples(run.series.samples))
     out_dir = Path(out_dir_arg) if out_dir_arg else Path("runs") / manifest_digest(spec)[:12]
     writer = _RunWriter(out_dir)
-    stages, child = _COMMANDS[spec["command"]][1], None
+    (_, stages, shared), child = _COMMANDS[spec["command"]], None
     try:
-        if spec["command"] == "pipeline" and hasattr(os, "fork"):
-            run.seq, run.table, run.window_levels  # computed once, for both processes
+        if shared is not None and hasattr(os, "fork"):
+            shared(run)
             *stages, last = stages
             child = _Forked(last, run, writer)
         for stage in stages:

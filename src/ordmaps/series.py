@@ -6,7 +6,7 @@ it holds something other than bare numbers. Serialization includes
 :func:`write_rows`, the one CSV row renderer that :func:`dump_series` and
 every writer in :mod:`ordmaps.exports` share, and :class:`SampleText`, the
 text of every sample cell, which a run renders once (or reads from the CLI's
-trajectory cache) to copy the sample cells of its files from it.
+input cache) to copy the sample cells of its files from it.
 """
 
 from __future__ import annotations
@@ -45,8 +45,10 @@ class TimeSeries:
         if self.samples.ndim != 1:
             raise ValueError(f"samples must be one-dimensional, got shape {self.samples.shape}")
         check_dt(self.dt)
-        # a finite sum of squares proves every sample finite; np.vdot, unlike np.dot, never warns of overflow
-        if not math.isfinite(np.vdot(self.samples, self.samples)) and not np.isfinite(self.samples).all():
+        # a finite sum proves every sample finite, and no BLAS call is made to leave its threads spinning
+        with np.errstate(over="ignore", invalid="ignore"):
+            proof = np.add.reduce(self.samples)
+        if not math.isfinite(proof) and not np.isfinite(self.samples).all():
             bad = int(np.flatnonzero(~np.isfinite(self.samples))[0])
             raise ValueError(f"non-finite sample at index {bad}")
 

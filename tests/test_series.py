@@ -54,6 +54,23 @@ def test_finite_samples_whose_squares_overflow_are_accepted_without_warning(big)
     assert ts.samples.tolist() == samples.tolist()
 
 
+@pytest.mark.parametrize("samples", [[1e308, 1e308], [1.0, -1e308, -1e308]])
+def test_finite_samples_whose_sum_overflows_are_accepted_without_warning(samples):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ts = om.TimeSeries(samples, dt=1.0)
+    assert ts.samples.tolist() == samples
+
+
+def test_the_finite_check_makes_no_blas_call(monkeypatch):
+    def blas(*args, **kwargs):
+        raise AssertionError("called BLAS, which leaves its threads spinning")
+
+    for name in ("vdot", "dot", "inner"):
+        monkeypatch.setattr(np, name, blas)
+    om.TimeSeries(np.linspace(-1.0, 1.0, 1000), dt=1.0)
+
+
 def test_dump_load_round_trip(tmp_path):
     ts = om.TimeSeries(samples=[0.1, -2.5, 1e-17, 3.0], dt=0.01)
     path = tmp_path / "series.csv"
