@@ -25,12 +25,11 @@ in ``runs/<manifest digest prefix>/``. Any bad input ends with one
 A command is a tuple of stages, each writing one group of files; pipeline runs
 those of generate, analyze, levels and embed, plus its own map stage. A run
 computes each part of its analysis when a stage first reads it, and only then.
-analyze computes the grouping of its windows, and pipeline its whole analysis,
-first and then forks: a child runs the last stage, reporting its files and its
-outcome through a pipe, while the parent runs the others; where ``os.fork`` is
-missing the stages run in turn. A run takes its series, and the text of its
-samples if it writes series.csv, from an input cache entry, or loads or
-integrates, renders and stores them once.
+A pipeline computes its whole analysis first and then forks: a child runs the
+embed stage, reporting its files and its outcome through a pipe, while the
+parent runs the others; where ``os.fork`` is missing the stages run in turn.
+A run takes its series, and the text of its samples if it writes series.csv,
+from an input cache entry, or loads or integrates them once and stores them.
 """
 
 from __future__ import annotations
@@ -370,8 +369,9 @@ def _input_key(inp) -> bytes:
 
 def _trajectory(run):
     """The input's series, its series_sha256 and, for a run that writes series.csv, its SampleText: read from the
-    input kind's one cache entry if that passes every check, else loaded or integrated, rendered and stored there.
-    An unusable cache costs only that work."""
+    input kind's one cache entry if that passes every check, else loaded or integrated and stored there. Only a
+    run that writes series.csv renders and stores the text, and a run that needs a missing text is a miss. An
+    unusable cache costs only that work."""
     inp, sim, key = run.spec["input"], run.sim, None
     text = _series_file in _COMMANDS[run.spec["command"]][1]
     with suppress(OSError, RuntimeError, ValueError):  # ValueError: a damaged header, sample or text
@@ -382,7 +382,7 @@ def _trajectory(run):
         with open(path, "rb") as fh:
             head = fh.read(96)
             count = int.from_bytes(head[16:24], "little")
-            if head[:16] == key and os.fstat(fh.fileno()).st_size > 96 + 8 * count:
+            if head[:16] == key and os.fstat(fh.fileno()).st_size >= 96 + 8 * count:
                 fh.readinto(samples := np.empty(count, "<f8"))
                 dt = np.frombuffer(head, "<f8", 1, 24).item()
                 series = TimeSeries(samples, dt, origin_time=0.0 if sim is None else (sim.total_points - count) * dt)
@@ -396,7 +396,7 @@ def _trajectory(run):
     else:  # built per call, so a name rebound on this module is the one called
         integrate = {"lorenz": integrate_lorenz, "rossler": integrate_rossler, "mackey-glass": integrate_mackey_glass}
         series = integrate[inp["kind"]](run.params, sim)
-    digest, data = series_sha256(series), render_samples(series.samples)
+    digest, data = series_sha256(series), render_samples(series.samples) if text else b""
     if key is not None:
         temp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
         with suppress(OSError):
@@ -420,16 +420,12 @@ def _series_file(run, writer):
     writer.emit("series.csv", lambda p: write_series_csv(run.series, p, text=run.text))
 
 
-def _partition_files(run, writer):
-    table = run.table
-    writer.emit("partitions.csv", lambda p: write_partitions_csv(table, p))
-    writer.emit("entropy_curve.csv", lambda p: write_entropy_curve_csv(table, p))
-
-
-def _sequence_files(run, writer):
-    seq = run.seq
+def _analysis_files(run, writer):
+    seq, table = run.seq, run.table
     tc = build_opn(seq)
     writer.emit("symbols.csv", lambda p: write_symbols_csv(seq, p))
+    writer.emit("partitions.csv", lambda p: write_partitions_csv(table, p))
+    writer.emit("entropy_curve.csv", lambda p: write_entropy_curve_csv(table, p))
     writer.emit("opn_edges.csv", lambda p: write_opn_edges_csv(tc, p))
     writer.emit("opn_nodes.csv", lambda p: write_opn_nodes_csv(seq, p))
 
@@ -497,20 +493,17 @@ def _embedding_file(run, writer):
     writer.emit("embedded.csv", lambda p: write_embedding_csv(points, p, *colour, text=run.text))
 
 
-# per command: the run spec sections it can hold besides command, version and input (_reads says which it
-# reads); the stages that write its files, in order; and, for a command whose last stage runs in a forked child,
-# the parts of the run both processes read, computed once before the fork
+# per command: the run spec sections it can hold besides command, version and input
+# (_reads says which it reads), and the stages that write its files, in order
 _COMMANDS = {
-    "generate": ((), (_series_file,), None),
-    "analyze": ((*_ANALYSIS,), (_partition_files, _sequence_files),
-                lambda run: (run.seq.inverse, run.seq.shown, run.seq.entries)),
-    "frm": ((*_ANALYSIS, "frm"), (_frm_files,), None),
-    "levels": ((*_ANALYSIS, "level_network"), (_level_files,), None),
-    "embed": ((*_ANALYSIS, "level_network", "embedding"), (_embedding_file,), None),
+    "generate": ((), (_series_file,)),
+    "analyze": ((*_ANALYSIS,), (_analysis_files,)),
+    "frm": ((*_ANALYSIS, "frm"), (_frm_files,)),
+    "levels": ((*_ANALYSIS, "level_network"), (_level_files,)),
+    "embed": ((*_ANALYSIS, "level_network", "embedding"), (_embedding_file,)),
     "pipeline": (
         (*_ANALYSIS, "frm", "level_network", "embedding"),
-        (_series_file, _partition_files, _sequence_files, _pipeline_maps, _level_files, _embedding_file),
-        lambda run: (run.seq, run.table, run.window_levels),
+        (_series_file, _analysis_files, _pipeline_maps, _level_files, _embedding_file),
     ),
 }
 
@@ -581,10 +574,10 @@ def _execute(spec: dict, out_dir_arg) -> int:
     _realize_input(run)
     out_dir = Path(out_dir_arg) if out_dir_arg else Path("runs") / manifest_digest(spec)[:12]
     writer = _RunWriter(out_dir)
-    (_, stages, shared), child = _COMMANDS[spec["command"]], None
+    stages, child = _COMMANDS[spec["command"]][1], None
     try:
-        if shared is not None and hasattr(os, "fork"):
-            shared(run)
+        if spec["command"] == "pipeline" and hasattr(os, "fork"):
+            run.seq, run.table, run.window_levels  # computed once, for both processes
             *stages, last = stages
             child = _Forked(last, run, writer)
         for stage in stages:

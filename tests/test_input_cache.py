@@ -2,6 +2,7 @@
 ``load_series``, anything else loads the file as before, and no run can tell
 the two apart. ``test_trajectory_cache`` covers the system entries."""
 
+import hashlib
 import json
 import os
 
@@ -73,8 +74,24 @@ def test_the_entry_holds_the_samples_and_their_text(series_file, tmp_path, traje
     assert entry[HEADER:] == samples + text
 
 
+def test_a_miss_that_prints_no_sample_stores_no_text(series_file, tmp_path, trajectory_cache, loads, monkeypatch):
+    render = cli.render_samples
+    monkeypatch.setattr(cli, "render_samples", _refuse)
+    assert _run(["analyze", series_file, "--out-dir", tmp_path / "analyze"]) == 0
+    samples = np.ascontiguousarray(om.load_series(series_file).samples, "<f8").tobytes()
+    path = trajectory_cache / "file.f8"
+    entry = path.read_bytes()
+    assert entry[64:HEADER] == hashlib.sha256(b"").digest() and entry[HEADER:] == samples
+    monkeypatch.setattr(cli, "render_samples", render)
+    assert _run(["pipeline", series_file, "--out-dir", tmp_path / "pipeline"]) == 0  # a miss: it needs the text
+    text = (tmp_path / "pipeline" / "series.csv").read_bytes().split(b"\n", 2)[2]
+    assert len(loads) == 2
+    assert path.read_bytes() == entry[:64] + hashlib.sha256(text).digest() + samples + text
+
+
 def test_a_run_that_prints_no_sample_reads_no_text(series_file, tmp_path, trajectory_cache, monkeypatch, capsys):
     assert _run(["analyze", series_file, "--out-dir", tmp_path / "cold"]) == 0
+    assert _run(["pipeline", series_file, "--out-dir", tmp_path / "pipeline"]) == 0  # stores the text
     path = trajectory_cache / "file.f8"
     entry = path.read_bytes()
     path.write_bytes(entry[:-1])  # a damaged text, which only a run that prints its samples would read

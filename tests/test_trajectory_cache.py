@@ -14,7 +14,7 @@ from ordmaps import cli, series
 
 SIM = ["--seed", 1, "--points", 20000, "--discard", 0.5]
 KEEP = om.kept_points(om.SimulationConfig(seed=1, total_points=20000, discard_fraction=0.5))
-HEADER = 96  # the key, the samples' series_sha256, the text's SHA-256
+HEADER = 96  # the key, the sample count, the dt, the samples' series_sha256, the text's SHA-256
 
 
 def _run(argv):
