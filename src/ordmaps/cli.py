@@ -25,11 +25,13 @@ in ``runs/<manifest digest prefix>/``. Any bad input ends with one
 A command is a tuple of stages, each writing one group of files; pipeline runs
 those of generate, analyze, levels and embed, plus its own map stage. A run
 computes each part of its analysis when a stage first reads it, and only then.
-A pipeline computes its whole analysis first and then forks: a child runs the
-embed stage, reporting its files and its outcome through a pipe, while the
-parent runs the others; where ``os.fork`` is missing the stages run in turn.
-A run takes its series, and the text of its samples if it writes series.csv,
-from an input cache entry, or loads or integrates them once and stores them.
+A command of more than one stage computes what both processes read (the
+windows' grouping, and a level network's window levels) and then forks: a
+child runs the last stage, reporting its files and its outcome through a pipe,
+while the parent runs the others; where ``os.fork`` is missing the stages run
+in turn. A run takes its series, and the text of its samples if it writes
+series.csv, from an input cache entry, or loads or integrates them once and
+stores them. Each file is written new, never truncated in place.
 """
 
 from __future__ import annotations
@@ -122,6 +124,7 @@ class _RunWriter:
     def emit(self, name: str, fn) -> None:
         path = self.out_dir / name
         self.written.append(path)  # before writing, so a half-written file goes too
+        path.unlink(missing_ok=True)  # a new file: ext4 flushes a truncated one on close
         fn(path)
 
     def cleanup(self) -> None:
@@ -420,12 +423,16 @@ def _series_file(run, writer):
     writer.emit("series.csv", lambda p: write_series_csv(run.series, p, text=run.text))
 
 
-def _analysis_files(run, writer):
-    seq, table = run.seq, run.table
-    tc = build_opn(seq)
-    writer.emit("symbols.csv", lambda p: write_symbols_csv(seq, p))
+def _partition_files(run, writer):
+    table = run.table
     writer.emit("partitions.csv", lambda p: write_partitions_csv(table, p))
     writer.emit("entropy_curve.csv", lambda p: write_entropy_curve_csv(table, p))
+
+
+def _sequence_files(run, writer):
+    seq = run.seq
+    tc = build_opn(seq)
+    writer.emit("symbols.csv", lambda p: write_symbols_csv(seq, p))
     writer.emit("opn_edges.csv", lambda p: write_opn_edges_csv(tc, p))
     writer.emit("opn_nodes.csv", lambda p: write_opn_nodes_csv(seq, p))
 
@@ -497,13 +504,13 @@ def _embedding_file(run, writer):
 # (_reads says which it reads), and the stages that write its files, in order
 _COMMANDS = {
     "generate": ((), (_series_file,)),
-    "analyze": ((*_ANALYSIS,), (_analysis_files,)),
+    "analyze": ((*_ANALYSIS,), (_partition_files, _sequence_files)),
     "frm": ((*_ANALYSIS, "frm"), (_frm_files,)),
     "levels": ((*_ANALYSIS, "level_network"), (_level_files,)),
     "embed": ((*_ANALYSIS, "level_network", "embedding"), (_embedding_file,)),
     "pipeline": (
         (*_ANALYSIS, "frm", "level_network", "embedding"),
-        (_series_file, _analysis_files, _pipeline_maps, _level_files, _embedding_file),
+        (_series_file, _partition_files, _sequence_files, _pipeline_maps, _level_files, _embedding_file),
     ),
 }
 
@@ -576,8 +583,11 @@ def _execute(spec: dict, out_dir_arg) -> int:
     writer = _RunWriter(out_dir)
     stages, child = _COMMANDS[spec["command"]][1], None
     try:
-        if spec["command"] == "pipeline" and hasattr(os, "fork"):
-            run.seq, run.table, run.window_levels  # computed once, for both processes
+        if len(stages) > 1 and hasattr(os, "fork"):
+            # what both processes read is computed once, before the fork
+            run.seq.inverse, run.seq.shown, run.seq.entries
+            if run.level_network is not None:
+                run.window_levels
             *stages, last = stages
             child = _Forked(last, run, writer)
         for stage in stages:
@@ -696,5 +706,17 @@ def _message(exc: BaseException) -> str:
     return str(exc) or type(exc).__name__  # a bare MemoryError has no message
 
 
+def console_main() -> None:
+    """Run main and end the process with its code, as ``python -m ordmaps`` and the ``ordmaps`` script do."""
+    code = main()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except (AttributeError, OSError, ValueError):  # no stream, a closed pipe or file: end as sys.exit ends
+        sys.exit(code)
+    # interpreter teardown would free objects for 10-20 ms: every file is closed and every child joined by now
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    console_main()

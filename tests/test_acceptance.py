@@ -104,17 +104,26 @@ def test_c01_symbolize_matches_bruteforce_oracle(rng):
 
 
 def test_c02_entropy_matches_shannon_oracle(rng):
-    codes_pool = [om.pattern_code(om.OrdinalPattern(p)) for p in itertools.permutations((1, 2, 3))]
-    worst = 0.0
+    # the h column that every run writes, against Shannon's sum over the
+    # secondary occupancy of each partition's sub-series, found by the oracle
+    worst, measured = 0.0, 0
     for _ in range(200):
-        n = int(rng.integers(2, 31))
-        codes = rng.choice(codes_pool, size=n).astype(np.int64)
-        seq = om.SymbolSequence(codes=codes, config=om.WindowConfig(m=3, tau=1, w=1))
-        got = om.permutation_entropy(om.occupancy(seq))
-        perms = [om.decode_pattern(int(c), 3).perm for c in codes]
-        want = oracles.shannon(oracles.occupancy_probs(perms).values())
-        worst = max(worst, abs(got - want))
-    ok = worst <= 1e-12
+        n = int(rng.integers(5, 31))  # enough for every (m, tau) drawn
+        m, tau = int(rng.integers(2, 4)), int(rng.integers(1, 3))
+        values = np.round(rng.normal(size=n), 1)  # rounding forces ties
+        series = om.TimeSeries(values, dt=1.0)
+        seq = om.symbolize(series, om.WindowConfig(m=m, tau=tau, w=1))
+        got = om.partition_table(series, seq).entropy
+        subseries = {}
+        for start, perm in enumerate(oracles.symbolize(values.tolist(), m, tau, 1)):
+            subseries.setdefault(perm, []).append(float(values[start]))
+        assert sorted(subseries) == [pattern.perm for pattern in seq.patterns]
+        for i, pattern in enumerate(seq.patterns):
+            symbols = oracles.symbolize(subseries[pattern.perm], 3, 1, 1)
+            want = oracles.shannon(oracles.occupancy_probs(symbols).values())
+            worst = max(worst, abs(got[i] - want))
+            measured += len(symbols) >= 2
+    ok = worst <= 1e-12 and measured > 0
     _record(2, "entropy matches independent Shannon computation", ok,
             f"200 random sequences (length <= 30), worst |delta| = {worst:.2e} (tol 1e-12)")
     assert ok

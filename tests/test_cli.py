@@ -46,17 +46,34 @@ def test_version_subprocess():
     assert out.stdout.strip() == f"ordmaps {om.__version__}"
 
 
+# what `import ordmaps.cli` adds to a fresh `import numpy`: each module more is imported by every run
+IMPORTED_OVER_NUMPY = {
+    "__future__", "_blake2", "_decimal", "_hashlib", "_json", "argparse", "copy", "dataclasses", "decimal",
+    "fractions", "gettext", "hashlib", "json", "json.decoder", "json.encoder", "json.scanner", "ordmaps",
+    "ordmaps.cli", "ordmaps.embedding", "ordmaps.encoding", "ordmaps.errors", "ordmaps.exports", "ordmaps.levels",
+    "ordmaps.manifest", "ordmaps.network", "ordmaps.ranking", "ordmaps.returnmaps", "ordmaps.series",
+    "ordmaps.sources",
+}
+
+
 @pytest.mark.parametrize("argv", [["analyze", "SERIES", "--m", "4"], ["pipeline", "lorenz", "--seed", "1", "--points", "20000"]])
 def test_runs_do_not_import_numpy_ma(wiggly_file, tmp_path, argv):
-    # numpy's plain np.unique(x) imports numpy.ma, about 0.015 s and 1.2 MB per process
+    # numpy's plain np.unique(x) imports numpy.ma, about 0.015 s and 1.2 MB per process; a forked
+    # run that succeeds needs neither signal, which kills a child, nor traceback, which reports its fault
     path = [str(Path(om.__file__).parents[1]), *filter(None, [os.environ.get("PYTHONPATH")])]
-    code = "import sys; from ordmaps.cli import main; rc = main(sys.argv[1:]); print(rc, 'numpy.ma' in sys.modules)"
+    code = (
+        "import sys, numpy; before = set(sys.modules); from ordmaps.cli import main; "
+        "added = sorted(set(sys.modules) - before); rc = main(sys.argv[1:]); "
+        "print(rc, *(name in sys.modules for name in ('numpy.ma', 'signal', 'traceback'))); print(*added)"
+    )
     out = subprocess.run(
         [sys.executable, "-c", code, *[str(wiggly_file) if a == "SERIES" else a for a in argv], "--out-dir", str(tmp_path / "run")],
         capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": os.pathsep.join(path)},
     )
-    assert out.stdout.split()[-2:] == ["0", "False"]
+    *_, ended, added = out.stdout.splitlines()
+    assert ended.split() == ["0", "False", "False", "False"]
+    assert set(added.split()) <= IMPORTED_OVER_NUMPY
 
 
 def test_generate_writes_series_and_manifest(tmp_path, capsys):
@@ -419,6 +436,48 @@ def test_rerun_detects_changed_input(wiggly_file, tmp_path, capsys):
     assert rc == 1
     assert "does not match the manifest" in capsys.readouterr().err
     assert not out2.exists()
+
+
+def _files(directory):
+    return {p.name: (p.stat().st_ino, p.read_bytes()) for p in directory.iterdir()}
+
+
+def test_a_rerun_in_place_writes_each_output_as_a_new_file(wiggly_file, tmp_path, capsys, monkeypatch):
+    # a new file, not a truncated one: ext4 flushes a file truncated and rewritten on close
+    monkeypatch.chdir(tmp_path)
+    assert _run(["analyze", wiggly_file, "--m", 2, "--tau", 1]) == 0
+    out = tmp_path / capsys.readouterr().out.strip()
+    (out / "notes.txt").write_text("not the run's\n")
+    before = _files(out)
+    held = [open(out / name, "rb") for name in before]  # no inode number is reused while its file is open
+    try:
+        assert _run(["rerun", out / "manifest.json"]) == 0
+    finally:
+        for fh in held:
+            fh.close()
+    assert tmp_path / capsys.readouterr().out.strip() == out
+    after = _files(out)
+    assert after.keys() == before.keys()
+    assert after["notes.txt"] == before["notes.txt"]
+    for name in before.keys() - {"notes.txt"}:
+        assert after[name][0] != before[name][0] and after[name][1] == before[name][1], name
+
+
+def test_a_failing_rerun_in_place_leaves_no_file_it_names(wiggly_file, tmp_path, capsys, monkeypatch):
+    out = tmp_path / "run"
+    assert _run(["analyze", wiggly_file, "--m", 2, "--tau", 1, "--out-dir", out]) == 0
+    (out / "notes.txt").write_text("not the run's\n")
+    manifest_bytes = (out / "manifest.json").read_bytes()
+
+    def full(seq, path):
+        Path(path).write_text("pattern,occupancy\n")
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli, "write_opn_nodes_csv", full)
+    assert _run(["rerun", out / "manifest.json", "--out-dir", out]) == 1
+    assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "notes.txt"]
+    assert (out / "manifest.json").read_bytes() == manifest_bytes  # the run failed before it named its manifest
 
 
 def test_rerun_rejects_unknown_command(tmp_path, capsys):
