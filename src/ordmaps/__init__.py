@@ -19,10 +19,7 @@ from .encoding import (
     OrdinalPattern,
     SymbolSequence,
     WindowConfig,
-    decode_pattern,
-    distinct_patterns,
     entry_mask,
-    pattern_code,
     symbolize,
     window_count,
 )
@@ -32,7 +29,6 @@ from .errors import (
     EmptyMapError,
     OrdmapsError,
     ParseError,
-    PatternAbsentError,
     TooShortError,
 )
 from .levels import (
@@ -46,15 +42,11 @@ from .network import (
     TransitionCounts,
     build_opn,
     occupancy,
-    permutation_entropy,
 )
 from .ranking import (
     LevelConfig,
     PartitionTable,
     SubSeriesConfig,
-    detect_levels,
-    entry_points,
-    extract_subseries,
     partition_table,
 )
 from .returnmaps import (
@@ -95,7 +87,6 @@ __all__ = [
     "OrdmapsError",
     "ParseError",
     "PartitionTable",
-    "PatternAbsentError",
     "ReturnMap",
     "RosslerParams",
     "ROSSLER_EMBEDDING",
@@ -108,18 +99,13 @@ __all__ = [
     "WindowConfig",
     "build_level_network",
     "build_opn",
-    "decode_pattern",
     "delay_embed",
     "delay_steps",
-    "detect_levels",
     "diagonal_split",
     "wing_split",
-    "distinct_patterns",
     "dump_series",
     "entry_level_sequence",
     "entry_mask",
-    "entry_points",
-    "extract_subseries",
     "frm_from_entries",
     "integrate_lorenz",
     "integrate_mackey_glass",
@@ -131,8 +117,6 @@ __all__ = [
     "maxima_frm",
     "occupancy",
     "partition_table",
-    "pattern_code",
-    "permutation_entropy",
     "series_sha256",
     "symbolize",
     "window_count",

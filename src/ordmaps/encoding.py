@@ -29,8 +29,7 @@ A :class:`SymbolSequence` is the keys of its windows and their
 no start is stored. It groups its windows by key once, as the distinct keys
 and each window's index into them, and renders the dashed text of every
 distinct pattern under its own ranking once, as the column ``shown`` that
-every writer indexes. A one-pattern query looks the pattern's key up among
-the distinct keys and scans the windows' indices once; it decodes no pattern.
+every writer indexes.
 """
 
 from __future__ import annotations
@@ -151,14 +150,6 @@ def decode_perm_rows(codes: np.ndarray, m: int) -> np.ndarray:
     return codes[:, None] // _powers(m) % (m + 1)
 
 
-def pattern_code(pattern: OrdinalPattern) -> int:
-    return int(encode_perm_rows(np.asarray([pattern.perm]))[0])
-
-
-def decode_pattern(code: int, m: int) -> OrdinalPattern:
-    return OrdinalPattern(decode_perm_rows(np.asarray([code]), m)[0])
-
-
 def entry_mask(codes: np.ndarray) -> np.ndarray:
     """True where a window's pattern differs from its predecessor's."""
     mask = np.empty(codes.shape, dtype=bool)
@@ -181,10 +172,7 @@ class SymbolSequence:
     The windows are grouped by pattern once, on first use, and every module
     reads that one grouping: ``pattern_codes``, ``inverse``, ``entries`` and
     ``shown`` as arrays, and ``patterns`` as one object per pattern, decoded
-    only when read. A caller that asks about one pattern finds its row with
-    :meth:`index`, a search of ``pattern_codes`` that decodes nothing, and
-    its windows with one scan, ``inverse == index``. The class is frozen so
-    the grouping cannot go stale.
+    only when read. The class is frozen so the grouping cannot go stale.
     """
 
     codes: np.ndarray
@@ -237,14 +225,6 @@ class SymbolSequence:
     def entry_count(self) -> int:
         return int(self.entries.sum())
 
-    def index(self, pattern: OrdinalPattern) -> int:
-        """The index of the pattern in ``pattern_codes``, or -1 if no window carries it."""
-        if pattern.m != self.config.m:
-            return -1
-        code = pattern_code(pattern)
-        i = int(np.searchsorted(self.pattern_codes, code))
-        return i if i < len(self.pattern_codes) and self.pattern_codes[i] == code else -1
-
 
 def encode_windows(windows: np.ndarray) -> np.ndarray:
     """The key of each row of the (k, m) array ``windows``, ranked a chunk of rows at a time.
@@ -275,8 +255,3 @@ def symbolize(series: TimeSeries, cfg: WindowConfig | None = None) -> SymbolSequ
             f"need at least {cfg.span + 1} samples for m={cfg.m}, tau={cfg.tau}; got {n}"
         )
     return SymbolSequence(encode_windows(window_view(series.samples, cfg.m, cfg.tau, cfg.w)), cfg)
-
-
-def distinct_patterns(seq: SymbolSequence) -> list[tuple[OrdinalPattern, int]]:
-    """Occurring patterns with their window counts, in lexicographic order."""
-    return list(zip(seq.patterns, np.bincount(seq.inverse).tolist()))

@@ -37,10 +37,6 @@ class DivergenceError(OrdmapsError, RuntimeError):
         self.step = step
 
 
-class PatternAbsentError(OrdmapsError, LookupError):
-    """A requested ordinal pattern does not occur in the symbol sequence."""
-
-
 class EmptyMapError(OrdmapsError, ValueError):
     """Too few entry points to form a single return pair.
 

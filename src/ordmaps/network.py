@@ -1,4 +1,4 @@
-r"""Ordinal partition network and the permutation entropy of its occupancy.
+r"""Ordinal partition network and its occupancy.
 
 The network is a directed weighted graph over the patterns that actually
 occur. Edge count a[i, j] is the number of consecutive window pairs whose
@@ -14,10 +14,7 @@ The occupancy of pattern i is its row-sum share
     p[i] = sum_j a[i, j] / sum_kj a[k, j],
 
 the share of transitions that leave it, rather than the stationary
-eigenvector, so a pattern seen only as the final symbol gets 0. The
-permutation entropy in bits is
-
-    h = -sum_i p[i] * log2(p[i])        (0 * log2(0) taken as 0).
+eigenvector, so a pattern seen only as the final symbol gets 0.
 """
 
 from __future__ import annotations
@@ -68,9 +65,3 @@ def occupancy(seq: SymbolSequence) -> np.ndarray:
     """Row-sum share of each of ``seq.patterns``, without building the network."""
     _check_transitions(seq)
     return np.bincount(seq.inverse[:-1], minlength=len(seq.pattern_codes)) / (len(seq) - 1)
-
-
-def permutation_entropy(occupancy: np.ndarray) -> float:
-    """Shannon entropy of an occupancy distribution, in bits."""
-    p = occupancy[occupancy > 0.0]
-    return float(-(p * np.log2(p)).sum()) + 0.0

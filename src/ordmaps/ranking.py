@@ -42,9 +42,10 @@ the order a sum over that partition alone takes. One search of the tally's
 keys finds where each partition's pairs begin.
 
 Sorting partitions by a weighted entropy typically shows plateaus
-separated by sharp drops. :func:`detect_levels` formalizes that: split the
-descending list at the largest consecutive gaps exceeding
-``gap_fraction * top_value``, using at most ``max_levels`` groups (see :class:`LevelConfig`).
+separated by sharp drops. :func:`partition_table` levels each weighted
+entropy by that: split the descending column at the largest consecutive gaps
+exceeding ``gap_fraction * top_value``, using at most ``max_levels`` groups
+(see :class:`LevelConfig`).
 
 :func:`partition_table` returns every partition as columns, a
 :class:`PartitionTable` indexed like ``seq.shown``, with no object per
@@ -61,8 +62,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .encoding import BLOCK, OrdinalPattern, SymbolSequence, WindowConfig, encode_windows, entry_mask, window_view
-from .errors import ConfigError, PatternAbsentError
+from .encoding import BLOCK, SymbolSequence, WindowConfig, encode_windows, entry_mask, window_view
+from .errors import ConfigError
 from .series import TimeSeries
 
 
@@ -87,7 +88,7 @@ class SubSeriesConfig:
 
 @dataclass(frozen=True)
 class LevelConfig:
-    """Settings of the gap-based level detector, see :func:`detect_levels`."""
+    """Settings of the gap-based level detector that :func:`partition_table` runs on each weighted entropy."""
 
     gap_fraction: float = 0.15
     max_levels: int = 3
@@ -97,23 +98,6 @@ class LevelConfig:
             raise ConfigError(f"gap_fraction must lie in (0, 1), got {self.gap_fraction}")
         if self.max_levels < 1:
             raise ConfigError(f"max_levels must be at least 1, got {self.max_levels}")
-
-
-def entry_points(seq: SymbolSequence, pattern: OrdinalPattern) -> np.ndarray:
-    """Start indices of windows that enter the pattern; may be empty."""
-    return np.flatnonzero((seq.inverse == seq.index(pattern)) & seq.entries) * seq.config.w
-
-
-def extract_subseries(
-    series: TimeSeries, seq: SymbolSequence, pattern: OrdinalPattern
-) -> TimeSeries:
-    """Samples at every window start carrying the pattern, in order.
-
-    The gaps between visits are spliced out, so dt is only nominal.
-    """
-    if (i := seq.index(pattern)) < 0:
-        raise PatternAbsentError(f"pattern {pattern.dashed()} does not occur")
-    return TimeSeries(series.samples[np.flatnonzero(seq.inverse == i) * seq.config.w], series.dt)
 
 
 def _runs(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -316,10 +300,8 @@ RANK_KEYS = ("weighted_entropy", "transition_entropy")
 LEVEL_KEYS = ("weighted_level", "transition_level")
 
 
-def detect_levels(
-    sorted_entropies, gap_fraction: float = LevelConfig.gap_fraction, max_levels: int = LevelConfig.max_levels
-) -> list[int]:
-    """Group a descending entropy list at its largest qualifying gaps.
+def _level_labels(e: np.ndarray, levels: LevelConfig) -> np.ndarray:
+    """Group a non-empty descending entropy array at its largest qualifying gaps, as int64 labels.
 
     A gap qualifies when it exceeds gap_fraction times the top entropy;
     the largest max_levels - 1 qualifying gaps (earliest first on ties)
@@ -328,20 +310,10 @@ def detect_levels(
     Labels start at 1 for the highest-entropy group. The grouping is
     invariant under rescaling all entropies by a positive constant.
     """
-    return _level_labels(np.asarray(list(sorted_entropies), dtype=np.float64), gap_fraction, max_levels).tolist()
-
-
-def _level_labels(e: np.ndarray, gap_fraction: float, max_levels: int) -> np.ndarray:
-    """:func:`detect_levels` on an array, as an int64 array."""
-    if e.size == 0:
-        raise ValueError("entropy list is empty")
-    LevelConfig(gap_fraction, max_levels)
-    if np.any(e[1:] > e[:-1]):
-        raise ValueError("entropies must be sorted in descending order")
     gaps = e[:-1] - e[1:]
-    qualifying = np.flatnonzero(gaps > gap_fraction * e[0])
+    qualifying = np.flatnonzero(gaps > levels.gap_fraction * e[0])
     # the largest max_levels - 1 qualifying gaps, earliest first on ties, in place order
-    chosen = np.sort(qualifying[np.argsort(-gaps[qualifying], kind="stable")[: max_levels - 1]])
+    chosen = np.sort(qualifying[np.argsort(-gaps[qualifying], kind="stable")[: levels.max_levels - 1]])
     # a boundary b parts entries b and b + 1, so entry k's level counts the boundaries below k
     return np.searchsorted(chosen, np.arange(e.size)) + 1
 
@@ -358,6 +330,6 @@ def partition_table(
     for by, attr in zip(RANK_KEYS, LEVEL_KEYS):
         # rows are in pattern order, so a stable sort ranks ties in pattern order
         ranked = np.argsort(-columns[by], kind="stable")
-        columns[attr][ranked] = _level_labels(columns[by][ranked], levels.gap_fraction, levels.max_levels)
+        columns[attr][ranked] = _level_labels(columns[by][ranked], levels)
     return PartitionTable(seq, **columns)
 

@@ -8,6 +8,7 @@ recorded detail carries the measured values.
 
 import itertools
 import math
+import shutil
 import time
 from pathlib import Path
 
@@ -156,10 +157,11 @@ def test_c04_pattern_bound(rng, lorenz_analysis):
         m = int(rng.integers(2, 6))
         values = rng.integers(0, 6, size=n).astype(float)
         seq = om.symbolize(om.TimeSeries(values, dt=1.0), om.WindowConfig(m=m, tau=1, w=1))
-        if len(om.distinct_patterns(seq)) > math.factorial(m):
+        # a run's pattern count: the rows of seq.shown, one per distinct code
+        if len(seq.pattern_codes) > math.factorial(m):
             violations.append(f"m={m} exceeded m!")
     mono = om.symbolize(om.TimeSeries(np.arange(40.0), dt=1.0), om.WindowConfig(m=4, tau=2, w=1))
-    if len(om.distinct_patterns(mono)) != 1:
+    if len(mono.pattern_codes) != 1:
         violations.append("monotone input gave more than one pattern")
     ok = not violations
     _record(4, "pattern count bounded by m!", ok,
@@ -201,9 +203,11 @@ def test_c06_descending_partition_range():
     start = time.perf_counter()
     series = om.integrate_lorenz(cfg=om.SimulationConfig(seed=1))
     seq = om.symbolize(series, om.WindowConfig())
-    sub = om.extract_subseries(series, seq, om.OrdinalPattern((4, 3, 2, 1)))
+    # the row shown as 4-3-2-1, found as frm --pattern finds it, and the samples at its windows' starts
+    [row] = np.flatnonzero(seq.shown == "4-3-2-1")
+    sub = series.samples[np.flatnonzero(seq.inverse == row) * seq.config.w]
     elapsed = time.perf_counter() - start
-    lo, hi = float(sub.samples.min()), float(sub.samples.max())
+    lo, hi = float(sub.min()), float(sub.max())
     ok = -9.3 <= lo and hi <= 19.5 and elapsed < 60.0
     _record(6, "descending-partition sub-series range", ok,
             f"[{lo:.3f}, {hi:.3f}] within [-9.3, 19.5], {elapsed:.1f}s (budget 60s)")
@@ -212,7 +216,8 @@ def test_c06_descending_partition_range():
 
 def test_c07_partition_frm_matches_maxima_frm(lorenz_series, lorenz_analysis):
     seq, table = lorenz_analysis
-    [entry_indices] = table.entry_indices([seq.index(om.OrdinalPattern((4, 3, 2, 1)))])
+    [row] = np.flatnonzero(seq.shown == "4-3-2-1")  # as frm --pattern finds its row
+    [entry_indices] = table.entry_indices([row])
     part_rm = om.frm_from_entries(lorenz_series, entry_indices)
     max_rm = om.maxima_frm(lorenz_series)
 
@@ -331,20 +336,29 @@ def test_c11_secondary_system_levels(rossler_series, mackey_series, lorenz_serie
 
 
 def test_c12_pipeline_rerun_byte_identical(tmp_path, trajectory_cache, monkeypatch):
-    # the pipeline integrates and stores its tail (a miss); the rerun reads it back (a hit)
-    first = tmp_path / "first"
-    again = tmp_path / "again"
+    # the pipeline integrates and stores its tail (a miss); one rerun reads it back (a hit),
+    # and one, with the cache emptied, integrates again (a miss)
+    first, again, cold = tmp_path / "first", tmp_path / "again", tmp_path / "cold"
+    integrate = cli.integrate_lorenz
     rc = cli.main(["pipeline", "lorenz", "--seed", "1", "--out-dir", str(first)])
     assert rc == 0
     assert (trajectory_cache / "lorenz.f8").exists()
     monkeypatch.setattr(cli, "integrate_lorenz", None)  # a rerun that integrated would fail
-    rc = cli.main(["rerun", str(first / "manifest.json"), "--out-dir", str(again)])
-    assert rc == 0
+    codes = [cli.main(["rerun", str(first / "manifest.json"), "--out-dir", str(again)])]
+    shutil.rmtree(trajectory_cache)
+    calls = []
+    monkeypatch.setattr(cli, "integrate_lorenz", lambda *args: calls.append(args) or integrate(*args))
+    codes.append(cli.main(["rerun", str(first / "manifest.json"), "--out-dir", str(cold)]))
 
     names = sorted(p.name for p in first.iterdir())
-    names2 = sorted(p.name for p in again.iterdir())
-    diffs = [n for n in names if (first / n).read_bytes() != (again / n).read_bytes()]
-    ok = names == names2 and not diffs
+    listed = [sorted(p.name for p in rerun.iterdir()) if rerun.is_dir() else [] for rerun in (again, cold)]
+    diffs = [f"{rerun.name}/{n}" for rerun in (again, cold) for n in names
+             if not (rerun / n).is_file() or (first / n).read_bytes() != (rerun / n).read_bytes()]
+    faults = [f"the {leg} rerun exited {rc}" for leg, rc in zip(("warm", "cold"), codes) if rc]
+    if len(calls) != 1:
+        faults.append(f"the cold rerun integrated {len(calls)} times (need 1)")
+    ok = listed == [names, names] and not diffs and not faults
     _record(12, "pipeline rerun is byte-identical", ok,
-            f"{len(names)} files compared" + (f", diffs: {diffs}" if diffs else ", no differences"))
-    assert ok, diffs
+            f"{len(names)} files compared" + (f", diffs: {diffs}" if diffs else ", no differences")
+            + "".join(f", {fault}" for fault in faults))
+    assert ok, (diffs, faults)

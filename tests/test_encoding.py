@@ -74,7 +74,8 @@ def test_one_row_codec_matches_loop_oracles():
     for perm in _perms_to_check():
         m = len(perm)
         code = oracles.encode(perm, m)
-        assert om.decode_pattern(code, m).perm == oracles.decode(code, m) == perm
+        assert om.encoding.encode_perm_rows(np.array([perm])).tolist() == [code]
+        assert tuple(om.encoding.decode_perm_rows(np.array([code]), m)[0].tolist()) == oracles.decode(code, m) == perm
         by_m.setdefault(m, set()).add(code)
     for m, codes in by_m.items():
         codes = sorted(codes)
@@ -143,17 +144,17 @@ def test_window_count_matches_oracle():
 def test_pattern_code_preserves_lexicographic_order():
     for m in (3, 4):
         perms = sorted(itertools.permutations(range(1, m + 1)))
-        codes = [om.pattern_code(om.OrdinalPattern(p)) for p in perms]
+        codes = om.encoding.encode_perm_rows(np.array(perms)).tolist()
         assert codes == sorted(codes)
         assert len(set(codes)) == len(codes)
 
 
 def test_code_round_trip_all_perms():
     for m in (2, 3, 4):
-        for p in itertools.permutations(range(1, m + 1)):
-            code = om.pattern_code(om.OrdinalPattern(p))
-            assert code == oracles.encode(p, m)
-            assert om.decode_pattern(code, m).perm == p
+        perms = list(itertools.permutations(range(1, m + 1)))
+        codes = om.encoding.encode_perm_rows(np.array(perms))
+        assert codes.tolist() == [oracles.encode(p, m) for p in perms]
+        assert list(map(tuple, om.encoding.decode_perm_rows(codes, m).tolist())) == perms
 
 
 def test_symbolize_matches_oracle():
@@ -270,8 +271,8 @@ def test_too_short_series_is_rejected():
 def test_distinct_patterns_lex_order_with_counts():
     ts = om.TimeSeries(np.array([1.0, 2.0, 1.0, 2.0, 1.0]), dt=1.0)
     seq = om.symbolize(ts, om.WindowConfig(m=2, tau=1, w=1))
-    pats = om.distinct_patterns(seq)
-    assert [(p.perm, c) for p, c in pats] == [((1, 2), 2), ((2, 1), 2)]
+    occurrence = om.partition_table(ts, seq).occurrence  # a run's per-pattern window count
+    assert list(zip(seq.shown.tolist(), occurrence.tolist())) == [("1-2", 2), ("2-1", 2)]
 
 
 @pytest.mark.parametrize("m", range(2, 12))

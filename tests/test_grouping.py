@@ -31,13 +31,13 @@ def test_grouping_consumers_match_oracles(rng):
         entries = oracles.entry_positions(symbols)
 
         assert [seq.patterns[i].perm for i in seq.inverse.tolist()] == symbols
-        assert [(p.perm, c) for p, c in om.distinct_patterns(seq)] == sorted(Counter(symbols).items())
+        assert [p.perm for p in seq.patterns] == sorted(Counter(symbols))
 
-        for i, p in enumerate(seq.patterns):
-            assert seq.index(p) == i
-            assert om.entry_points(seq, p).tolist() == [k * w for k in entries if symbols[k] == p.perm]
-            sub = om.extract_subseries(ts, seq, p)
-            assert sub.samples.tolist() == [values[k * w] for k, s in enumerate(symbols) if s == p.perm]
+        table = om.partition_table(ts, seq)
+        rows = np.arange(len(seq.patterns))
+        for i, p, entry_indices in zip(rows, seq.patterns, table.entry_indices(rows), strict=True):
+            assert np.flatnonzero(seq.shown == p.dashed()).tolist() == [i]  # the row frm --pattern finds
+            assert entry_indices.tolist() == [k * w for k in entries if symbols[k] == p.perm]
 
         if len(symbols) >= 2:
             tc = om.build_opn(seq)
@@ -45,7 +45,6 @@ def test_grouping_consumers_match_oracles(rng):
             got = {(perms[i], perms[j]): c for i, j, c in zip(tc.source.tolist(), tc.target.tolist(), tc.count.tolist())}
             assert got == oracles.pair_counts(symbols)
 
-        table = om.partition_table(ts, seq)
         assert list(zip(table.occurrence.tolist(), table.entries.tolist())) == [
             (symbols.count(p.perm), sum(symbols[k] == p.perm for k in entries)) for p in seq.patterns
         ]
@@ -58,10 +57,9 @@ def test_grouping_consumers_match_oracles(rng):
 def test_absent_or_wrong_length_pattern_selects_nothing():
     ts = om.TimeSeries(np.array([1.0, 2.0, 3.0, 4.0, 5.0]), dt=1.0)
     seq = om.symbolize(ts, om.WindowConfig(m=3, tau=1))
-    for pattern in (om.OrdinalPattern((3, 2, 1)), om.OrdinalPattern((1, 2)), om.OrdinalPattern((1, 2, 3, 4))):
-        assert om.entry_points(seq, pattern).tolist() == []
-        with pytest.raises(om.PatternAbsentError, match=pattern.dashed()):
-            om.extract_subseries(ts, seq, pattern)
+    assert seq.shown.tolist() == ["1-2-3"]
+    for text in ("3-2-1", "1-2", "1-2-3-4"):
+        assert not (seq.shown == text)[seq.inverse].any()  # frm --pattern finds no row, so no window
 
 
 def test_grouping_is_computed_once_and_cannot_go_stale():
@@ -73,18 +71,10 @@ def test_grouping_is_computed_once_and_cannot_go_stale():
 
 def test_one_pattern_queries_decode_no_pattern(tmp_path, monkeypatch):
     ts = om.TimeSeries(np.sin(0.7 * np.arange(200.0)), dt=1.0)
-    cfg = om.WindowConfig(m=4, tau=1)
-    pattern = om.decode_pattern(int(om.symbolize(ts, cfg).pattern_codes[0]), 4)
-    for query in (
-        lambda seq: om.entry_points(seq, pattern),
-        lambda seq: om.extract_subseries(ts, seq, pattern),
-    ):
-        seq = om.symbolize(ts, cfg)
-        query(seq)
-        assert "patterns" not in vars(seq)
+    text = om.symbolize(ts, om.WindowConfig(m=4, tau=1)).shown[0]
     made = []
     monkeypatch.setattr(cli, "symbolize", lambda *args: made.append(om.symbolize(*args)) or made[-1])
     om.dump_series(ts, tmp_path / "series.csv")
-    argv = ["frm", str(tmp_path / "series.csv"), "--m", "4", "--tau", "1", "--pattern", pattern.dashed()]
+    argv = ["frm", str(tmp_path / "series.csv"), "--m", "4", "--tau", "1", "--pattern", text]
     assert cli.main(argv + ["--out-dir", str(tmp_path / "out")]) == 0
     assert len(made) == 1 and "patterns" not in vars(made[0])

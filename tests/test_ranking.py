@@ -19,6 +19,12 @@ def _analyzed(values, m=2, tau=1, w=1):
     return ts, seq
 
 
+def _row(seq, text):
+    """The row shown as ``text``, found as ``frm --pattern`` finds it."""
+    [row] = np.flatnonzero(seq.shown == text)
+    return int(row)
+
+
 # 15 leading digits of pi: a small series with both m=2 patterns, ties,
 # and a non-trivial entry structure. Expected numbers were frozen from a
 # brute-force hand evaluation before the implementation ran them.
@@ -40,38 +46,21 @@ def test_entry_mask_first_window_counts():
 def test_entry_points_examples():
     # symbols A A B B A over starts 0..4
     ts, seq = _analyzed([1, 2, 3, 2, 1, 2])
-    up, down = om.OrdinalPattern((1, 2)), om.OrdinalPattern((2, 1))
     assert [seq.patterns[i].perm for i in seq.inverse.tolist()] == [(1, 2), (1, 2), (2, 1), (2, 1), (1, 2)]
-    assert om.entry_points(seq, up).tolist() == [0, 4]
-    assert om.entry_points(seq, down).tolist() == [2]
+    up, down = om.partition_table(ts, seq).entry_indices([_row(seq, "1-2"), _row(seq, "2-1")])
+    assert (up.tolist(), down.tolist()) == ([0, 4], [2])
 
     # alternating A B A B
     ts, seq = _analyzed([1, 2, 1, 2, 1])
-    assert om.entry_points(seq, up).tolist() == [0, 2]
-
-
-def test_entry_points_absent_pattern_is_empty_not_error():
-    _, seq = _analyzed([1, 2, 3, 4])
-    assert om.entry_points(seq, om.OrdinalPattern((2, 1))).tolist() == []
-
-
-def test_extract_subseries_values_and_absent_error():
-    ts, seq = _analyzed(PI_DIGITS)
-    sub = om.extract_subseries(ts, seq, om.OrdinalPattern((1, 2)))
-    assert sub.samples.tolist() == [1, 1, 5, 2, 3, 5, 8, 7]
-    sub = om.extract_subseries(ts, seq, om.OrdinalPattern((2, 1)))
-    assert sub.samples.tolist() == [3, 4, 9, 6, 5, 9]
-
-    ts, seq = _analyzed([1, 2, 3, 4])
-    with pytest.raises(om.PatternAbsentError, match="2-1"):
-        om.extract_subseries(ts, seq, om.OrdinalPattern((2, 1)))
+    [up] = om.partition_table(ts, seq).entry_indices([_row(seq, "1-2")])
+    assert up.tolist() == [0, 2]
 
 
 def test_weighted_entropies_frozen_digit_case():
     ts, seq = _analyzed(PI_DIGITS)
     t = om.partition_table(ts, seq)
 
-    i = seq.index(om.OrdinalPattern((1, 2)))
+    i = _row(seq, "1-2")
     assert (t.occurrence[i], t.entries[i]) == (8, 5)
     assert t.occurrence_share[i] == pytest.approx(8 / 14, abs=0)
     assert t.entry_share[i] == pytest.approx(0.5, abs=0)
@@ -81,7 +70,7 @@ def test_weighted_entropies_frozen_digit_case():
     assert t.weighted_entropy[i] == pytest.approx(1.2447460094355844, rel=1e-13)
     assert t.transition_entropy[i] == pytest.approx(1.1854752972273344, rel=1e-13)
 
-    i = seq.index(om.OrdinalPattern((2, 1)))
+    i = _row(seq, "2-1")
     assert (t.occurrence[i], t.entries[i]) == (6, 5)
     assert t.entry_indices([i])[0].tolist() == [0, 2, 5, 7, 12]
     assert t.entropy[i] == pytest.approx(math.log2(3), rel=1e-13)
@@ -93,7 +82,7 @@ def test_full_coverage_collapses_weighting():
     # every window ascending: K = 1 and a single entrance, so both weighted
     # entropies must equal the raw sub-series entropy
     ts, seq = _analyzed([0, 5, 1, 6, 2, 7, 3, 8, 4, 9], m=2, tau=2)
-    t, i = om.partition_table(ts, seq), seq.index(om.OrdinalPattern((1, 2)))
+    t, i = om.partition_table(ts, seq), _row(seq, "1-2")
     assert t.occurrence_share[i] == 1.0
     assert t.entry_share[i] == 1.0
     assert t.entropy[i] > 0.0
@@ -106,25 +95,25 @@ def test_constant_subseries_entropy_zero_but_weighted_positive():
     # h = 0 while the -K*log2(K) term survives in the weighted form
     values = [0, 1] * 6
     ts, seq = _analyzed(values)
-    t, i = om.partition_table(ts, seq), seq.index(om.OrdinalPattern((1, 2)))
+    t, i = om.partition_table(ts, seq), _row(seq, "1-2")
     assert t.entropy[i] == 0.0
     assert t.occurrence_share[i] == pytest.approx(6 / 11, abs=0)
     assert t.weighted_entropy[i] == pytest.approx(0.4769831552269861, rel=1e-13)
     assert t.transition_entropy[i] == pytest.approx(0.4769831552269861, rel=1e-13)
-    i = seq.index(om.OrdinalPattern((2, 1)))
+    i = _row(seq, "2-1")
     assert t.weighted_entropy[i] == pytest.approx(0.5170470562499704, rel=1e-13)
 
 
 def test_degenerate_boundary_three_vs_four_occurrences():
     # default secondary window (m'=3, tau'=1, w'=1) needs 4 samples
     ts, seq = _analyzed([1, 2, 1, 2, 1, 2, 1])
-    t, i = om.partition_table(ts, seq), seq.index(om.OrdinalPattern((1, 2)))
+    t, i = om.partition_table(ts, seq), _row(seq, "1-2")
     assert t.occurrence[i] == 3
     assert t.degenerate[i]
     assert t.entropy[i] == t.weighted_entropy[i] == t.transition_entropy[i] == 0.0
 
     ts, seq = _analyzed([1, 2, 1, 2, 1, 2, 1, 2, 1])
-    t, i = om.partition_table(ts, seq), seq.index(om.OrdinalPattern((1, 2)))
+    t, i = om.partition_table(ts, seq), _row(seq, "1-2")
     assert t.occurrence[i] == 4
     assert not t.degenerate[i]
     assert t.entropy[i] == 0.0
@@ -136,39 +125,33 @@ def test_custom_sub_config_changes_degeneracy():
     cfg = om.SubSeriesConfig(m=2, tau=1, w=1)
     assert cfg.min_samples() == 3
     t = om.partition_table(ts, seq, sub_cfg=cfg)
-    assert not t.degenerate[seq.index(om.OrdinalPattern((1, 2)))]
+    assert not t.degenerate[_row(seq, "1-2")]
+
+
+def _levels(values, **levels):
+    """The level labels ``partition_table`` gives a descending column, as a list."""
+    labels = ranking._level_labels(np.array(values, dtype=np.float64), om.LevelConfig(**levels))
+    assert labels.dtype == np.int64
+    return labels.tolist()
 
 
 def test_detect_levels_examples():
-    assert om.detect_levels([0.9, 0.85, 0.5, 0.45, 0.1]) == [1, 1, 2, 2, 3]
-    assert om.detect_levels([0.5, 0.49, 0.48]) == [1, 1, 1]
-    assert om.detect_levels([0.7]) == [1]
-    assert om.detect_levels([0.9, 0.1], max_levels=1) == [1, 1]
+    assert _levels([0.9, 0.85, 0.5, 0.45, 0.1]) == [1, 1, 2, 2, 3]
+    assert _levels([0.5, 0.49, 0.48]) == [1, 1, 1]
+    assert _levels([0.7]) == [1]
+    assert _levels([0.9, 0.1], max_levels=1) == [1, 1]
     # tie between the two 0.35 gaps: earliest boundary wins
-    assert om.detect_levels([0.9, 0.85, 0.5, 0.45, 0.1], max_levels=2) == [1, 1, 2, 2, 2]
-    assert om.detect_levels([0.0, 0.0, 0.0]) == [1, 1, 1]
-
-
-def test_detect_levels_validation():
-    with pytest.raises(ValueError, match="empty"):
-        om.detect_levels([])
-    with pytest.raises(ValueError, match="gap_fraction"):
-        om.detect_levels([1.0], gap_fraction=0.0)
-    with pytest.raises(ValueError, match="gap_fraction"):
-        om.detect_levels([1.0], gap_fraction=1.0)
-    with pytest.raises(ValueError, match="max_levels"):
-        om.detect_levels([1.0], max_levels=0)
-    with pytest.raises(ValueError, match="descending"):
-        om.detect_levels([0.1, 0.2])
+    assert _levels([0.9, 0.85, 0.5, 0.45, 0.1], max_levels=2) == [1, 1, 2, 2, 2]
+    assert _levels([0.0, 0.0, 0.0]) == [1, 1, 1]
 
 
 def test_detect_levels_scale_invariance(rng):
     for _ in range(50):
         n = int(rng.integers(1, 15))
         vals = np.sort(rng.random(n))[::-1]
-        base = om.detect_levels(vals.tolist())
+        base = _levels(vals)
         for c in (3.0, 0.125, 1e6):
-            assert om.detect_levels((vals * c).tolist()) == base
+            assert _levels(vals * c) == base
 
 
 def test_detect_levels_matches_oracle(rng):
@@ -177,7 +160,7 @@ def test_detect_levels_matches_oracle(rng):
         vals = np.sort(rng.integers(0, 8, size=n).astype(float))[::-1]
         frac = float(rng.uniform(0.05, 0.6))
         ml = int(rng.integers(1, 5))
-        got = om.detect_levels(vals.tolist(), gap_fraction=frac, max_levels=ml)
+        got = _levels(vals, gap_fraction=frac, max_levels=ml)
         assert got == oracles.levels(vals.tolist(), frac, ml)
         assert max(got) <= ml
         assert got == sorted(got)
@@ -248,8 +231,9 @@ def test_all_degenerate_partitions_symbolize_nothing(monkeypatch):
 
 def test_level_config_holds_detector_defaults_and_checks():
     assert om.LevelConfig() == om.LevelConfig(gap_fraction=0.15, max_levels=3)
-    with pytest.raises(om.ConfigError, match="gap_fraction"):
-        om.LevelConfig(gap_fraction=1.5)
+    for gap_fraction in (0.0, 1.0, 1.5):
+        with pytest.raises(om.ConfigError, match="gap_fraction"):
+            om.LevelConfig(gap_fraction=gap_fraction)
     with pytest.raises(om.ConfigError, match="max_levels"):
         om.LevelConfig(max_levels=0)
     ts, seq = _analyzed(PI_DIGITS)
@@ -295,10 +279,10 @@ def test_partition_table_matches_oracle_on_secondary_window_grid(rng):
         for values in (rng.standard_normal(2000), rng.integers(0, 4, size=2000).astype(float)):
             ts, seq = _analyzed(values, m=3)
             table = _assert_table_is_oracle(ts, seq, sub, levels)
-            for i, pattern in enumerate(seq.patterns):
-                if not table.degenerate[i]:
-                    codes = om.symbolize(om.extract_subseries(ts, seq, pattern), sub.window()).codes
-                    widest = max(widest, len(np.unique(codes[:-1])))
+            for i in np.flatnonzero(~table.degenerate):
+                subseries = om.TimeSeries(ts.samples[np.flatnonzero(seq.inverse == i)], dt=1.0)  # w = 1
+                codes = om.symbolize(subseries, sub.window()).codes
+                widest = max(widest, len(np.unique(codes[:-1])))
     assert widest > 8  # some entropy sums reach numpy's pairwise summation
 
 
@@ -451,11 +435,7 @@ def test_partition_pass_and_pattern_queries_read_no_start_indices():
     ts = om.TimeSeries(np.random.default_rng(2).normal(size=3000), dt=1.0)
     seq = om.symbolize(ts, om.WindowConfig(m=3, tau=2, w=3))
     table = om.partition_table(ts, seq)
-    entries = om.entry_points(seq, seq.patterns[1])
-    sub = om.extract_subseries(ts, seq, seq.patterns[1])
     picked = table.entry_indices([0, 2])
     assert "start_indices" not in vars(seq)
     starts = seq.start_indices  # read only now, to check the starts derived without it
-    assert entries.tolist() == starts[(seq.inverse == 1) & seq.entries].tolist()
     assert [p.tolist() for p in picked] == [starts[(seq.inverse == i) & seq.entries].tolist() for i in (0, 2)]
-    assert sub.samples.tolist() == ts.samples[starts[seq.inverse == 1]].tolist()
